@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 PASS = "PASS"
 FAIL = "FAIL"
 
@@ -33,5 +35,12 @@ class Certificate:
         return self.passed
 
 
-def certificate(ok: bool, margin: float, witness: Any = None, detail: str = "") -> Certificate:
-    return Certificate(PASS if ok else FAIL, float(margin), witness, detail)
+def from_margins(margins, tol: float, passed_detail: str) -> Certificate:
+    """Certificate for a list of (name, margin) conditions, each satisfied
+    when margin >= -tol: the smallest margin, and on FAIL the name of the
+    first violated condition as witness and detail."""
+    worst = float(np.min([v for _, v in margins]))
+    for name, value in margins:
+        if value < -tol:
+            return Certificate(FAIL, worst, witness=name, detail=name)
+    return Certificate(PASS, worst, detail=passed_detail)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import choi, linalg
-from .certificate import FAIL, PASS, Certificate
+from .certificate import FAIL, PASS, Certificate, from_margins
 from .errors import NotCanonicalFormError
 
 BLOCK_GRID = (96, 192)
@@ -58,8 +58,7 @@ def _lambda_min(h, theta, phi):
     return 0.5 * (qa + qd) - np.sqrt(half * half + np.abs(qb) ** 2)
 
 
-def block_positive(h, tol: float = linalg.PSD_TOL, grid: tuple[int, int] = BLOCK_GRID,
-                   seeds: int = REFINE_SEEDS, steps: int = REFINE_STEPS) -> Certificate:
+def block_positive(h, tol: float = linalg.PSD_TOL) -> Certificate:
     """Certify block-positivity, i.e. positivity of the represented map.
 
     Estimates the minimum over unit directions v of the smallest eigenvalue
@@ -69,12 +68,12 @@ def block_positive(h, tol: float = linalg.PSD_TOL, grid: tuple[int, int] = BLOCK
     its compressed 2x2 matrix.
     """
     harr = linalg.require_hermitian(linalg.as_matrix(h, 4), linalg.HERMITIAN_TOL)
-    n_t, n_p = grid
+    n_t, n_p = BLOCK_GRID
     thetas = np.linspace(0.0, np.pi, n_t)
     phis = np.linspace(0.0, 2.0 * np.pi, n_p, endpoint=False)
     vals = _lambda_min(harr, thetas[:, None], phis[None, :])
     flat = vals.ravel()
-    order = np.argsort(flat, kind="stable")[:seeds]
+    order = np.argsort(flat, kind="stable")[:REFINE_SEEDS]
 
     cur = np.stack([thetas[order // n_p], phis[order % n_p]], axis=1)
     cur_val = flat[order].astype(float)
@@ -84,7 +83,7 @@ def block_positive(h, tol: float = linalg.PSD_TOL, grid: tuple[int, int] = BLOCK
     step = np.full(len(order), max(np.pi / (n_t - 1), 2.0 * np.pi / n_p))
     offsets = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     rows = np.arange(len(order))
-    for _ in range(steps):
+    for _ in range(REFINE_STEPS):
         cand = cur[:, None, :] + step[:, None, None] * offsets[None, :, :]
         cand_t = np.clip(cand[..., 0], 0.0, np.pi)
         cand_p = np.mod(cand[..., 1], 2.0 * np.pi)
@@ -170,12 +169,20 @@ def canonical_coefficients(h, tol: float = CANONICAL_PATTERN_TOL) -> CanonicalCo
     )
 
 
-def _condition_certificate(margins: list[tuple[str, float]], tol: float) -> Certificate:
-    worst = min(v for _, v in margins)
-    failed = [name for name, v in margins if v < -tol]
-    if failed:
-        return Certificate(FAIL, float(worst), witness=failed[0], detail=failed[0])
-    return Certificate(PASS, float(worst), detail="all conditions")
+def _minor_conditions(h, tol: float, tag: str) -> Certificate:
+    a, b, u, c, y, z, t = canonical_coefficients(h)
+    margins = [
+        ("a>=0", a),
+        ("b>=0", b),
+        ("u>=0", u),
+        (tag + "1", -abs(z)),
+        (tag + "2", a * u - abs(y) ** 2),
+        (tag + "3", b * u - abs(t) ** 2),
+        (tag + "4", a * b - abs(c) ** 2),
+        (tag + "5", b * (a * u - abs(y) ** 2) + 2.0 * (c * t * np.conj(y)).real
+                    - a * abs(t) ** 2 - u * abs(c) ** 2),
+    ]
+    return from_margins(margins, tol, "all conditions")
 
 
 def canonical_cp_conditions(h, tol: float = CONDITION_TOL) -> Certificate:
@@ -185,37 +192,14 @@ def canonical_cp_conditions(h, tol: float = CONDITION_TOL) -> Certificate:
     three 2x2 minors (A2)-(A4), and the 3x3 determinant (A5) evaluated in
     expanded form.  The detail names the first violated condition.
     """
-    a, b, u, c, y, z, t = canonical_coefficients(h)
-    margins = [
-        ("a>=0", a),
-        ("b>=0", b),
-        ("u>=0", u),
-        ("A1", -abs(z)),
-        ("A2", a * u - abs(y) ** 2),
-        ("A3", b * u - abs(t) ** 2),
-        ("A4", a * b - abs(c) ** 2),
-        ("A5", b * (a * u - abs(y) ** 2) + 2.0 * (c * t * np.conj(y)).real
-               - a * abs(t) ** 2 - u * abs(c) ** 2),
-    ]
-    return _condition_certificate(margins, tol)
+    return _minor_conditions(h, tol, "A")
 
 
 def canonical_ccp_conditions(h, tol: float = CONDITION_TOL) -> Certificate:
     """Mirror conditions for complete copositivity: y = 0 (B1) and the
-    minors of the partially transposed matrix (B2)-(B5)."""
-    a, b, u, c, y, z, t = canonical_coefficients(h)
-    margins = [
-        ("a>=0", a),
-        ("b>=0", b),
-        ("u>=0", u),
-        ("B1", -abs(y)),
-        ("B2", a * u - abs(z) ** 2),
-        ("B3", b * u - abs(t) ** 2),
-        ("B4", a * b - abs(c) ** 2),
-        ("B5", b * (a * u - abs(z) ** 2) + 2.0 * (c * np.conj(t) * np.conj(z)).real
-               - a * abs(t) ** 2 - u * abs(c) ** 2),
-    ]
-    return _condition_certificate(margins, tol)
+    minors of the partially transposed matrix (B2)-(B5), which is canonical
+    with y and z swapped and t conjugated."""
+    return _minor_conditions(choi.partial_transpose(h), tol, "B")
 
 
 def face_form_inequalities(h, tol: float = CONDITION_TOL) -> Certificate:
@@ -227,4 +211,4 @@ def face_form_inequalities(h, tol: float = CONDITION_TOL) -> Certificate:
         ("|t|^2<=bu", b * u - abs(t) ** 2),
         ("(|y|+|z|)^2<=au", a * u - (abs(y) + abs(z)) ** 2),
     ]
-    return _condition_certificate(margins, tol)
+    return from_margins(margins, tol, "all conditions")

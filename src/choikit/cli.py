@@ -81,6 +81,11 @@ def _load_matrix(path: str):
     return matrix, hashlib.sha256(raw).hexdigest()
 
 
+def _tol(args) -> dict:
+    """--tol as keyword arguments; without it the library's default applies."""
+    return {} if args.tol is None else {"tol": args.tol}
+
+
 def _run_generate(args) -> tuple[dict, int]:
     modes = [args.example_s is not None, args.degenerate is not None, args.u is not None]
     if sum(modes) != 1:
@@ -106,8 +111,7 @@ def _run_generate(args) -> tuple[dict, int]:
         matrix = extremal.build_extremal(pset)
         params = {"u": pset.u, "y": io.complex_pair(pset.y),
                   "z": io.complex_pair(pset.z), "t_branch": pset.t_branch}
-    tol = args.tol if args.tol is not None else extremal.RELATION_TOL
-    cert = extremal.validate_extremal(matrix, tol)
+    cert = extremal.validate_extremal(matrix, **_tol(args))
     results = {
         "matrix": io.matrix_to_json(matrix),
         "params": params,
@@ -118,13 +122,13 @@ def _run_generate(args) -> tuple[dict, int]:
 
 
 _CERTIFY_CHECKS = {
-    "positive": lambda m, tol: certify.block_positive(m, tol=tol),
-    "cp": lambda m, tol: certify.cp_check(m, tol=tol),
-    "ccp": lambda m, tol: certify.ccp_check(m, tol=tol),
-    "extremal": lambda m, tol: extremal.validate_extremal(m, tol),
-    "face_form": lambda m, tol: certify.face_form_inequalities(m, tol=tol),
-    "canonical_cp": lambda m, tol: certify.canonical_cp_conditions(m, tol=tol),
-    "canonical_ccp": lambda m, tol: certify.canonical_ccp_conditions(m, tol=tol),
+    "positive": certify.block_positive,
+    "cp": certify.cp_check,
+    "ccp": certify.ccp_check,
+    "extremal": extremal.validate_extremal,
+    "face_form": certify.face_form_inequalities,
+    "canonical_cp": certify.canonical_cp_conditions,
+    "canonical_ccp": certify.canonical_ccp_conditions,
 }
 
 
@@ -136,26 +140,16 @@ def _run_certify(args) -> tuple[dict, int]:
     results: dict = {"checks": {}}
     all_pass = True
     for name in requested:
-        tol = args.tol if args.tol is not None else _default_tol(name)
-        cert = _CERTIFY_CHECKS[name](matrix, tol)
+        cert = _CERTIFY_CHECKS[name](matrix, **_tol(args))
         results["checks"][name] = io.certificate_to_json(cert)
         all_pass = all_pass and cert.passed
     return _report(args, results, digest), 0 if all_pass else 1
 
 
-def _default_tol(name: str) -> float:
-    if name in ("face_form", "canonical_cp", "canonical_ccp"):
-        return certify.CONDITION_TOL
-    if name == "extremal":
-        return extremal.RELATION_TOL
-    return 1e-10
-
-
 def _run_decompose(args) -> tuple[dict, int]:
     matrix, digest = _load_matrix(args.matrix)
     pair = decompose.decompose_extremal(matrix)
-    tol = args.tol if args.tol is not None else 1e-10
-    cert = decompose.verify_decomposition(matrix, pair, tol)
+    cert = decompose.verify_decomposition(matrix, pair, **_tol(args))
     results = dict(io.pair_to_json(pair))
     results["verify"] = io.certificate_to_json(cert)
     return _report(args, results, digest), 0 if cert.passed else 1
@@ -163,10 +157,9 @@ def _run_decompose(args) -> tuple[dict, int]:
 
 def _run_explore(args) -> tuple[dict, int]:
     matrix, digest = _load_matrix(args.matrix)
-    tol = args.tol if args.tol is not None else uniqueness.FEASIBILITY_TOL
     report = uniqueness.uniqueness_search(
         matrix, radius=args.radius, resolution=args.resolution,
-        samples=args.samples, seed=args.seed, tol=tol,
+        samples=args.samples, seed=args.seed, **_tol(args),
     )
     results: dict = {"search": io.report_to_json(report)}
     if args.epsilon is not None:

@@ -8,11 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import certify, choi, extremal, linalg
-from .certificate import FAIL, PASS, Certificate
-from .errors import HypothesisViolatedError, NotExtremalError
-
-HYPOTHESIS_TOL = 1e-8
+from . import certify, choi, extremal, linalg, uniqueness
+from .certificate import Certificate, from_margins
+from .errors import HypothesisViolatedError
+from .uniqueness import HYPOTHESIS_TOL
 
 
 @dataclass(frozen=True)
@@ -30,14 +29,6 @@ class DecompositionPair:
     c: complex
     y1: complex
     z1: complex
-
-
-def _require_extremal(h, validate_tol: float) -> certify.CanonicalCoefficients:
-    cert = extremal.validate_extremal(h, validate_tol)
-    if not cert.passed:
-        raise NotExtremalError(
-            f"not a canonical extremal matrix: {cert.detail} (margin {cert.margin:.3e})")
-    return certify.canonical_coefficients(h)
 
 
 def _require_hypotheses(u: float, y: complex, z: complex, tol: float) -> None:
@@ -72,36 +63,21 @@ def _factors(u: float, y1: complex, z1: complex) -> tuple[np.ndarray, np.ndarray
     return k1, k2
 
 
-def decompose_extremal(h, tol: float = HYPOTHESIS_TOL,
-                       validate_tol: float = extremal.RELATION_TOL) -> DecompositionPair:
+def decompose_extremal(h, tol: float = HYPOTHESIS_TOL) -> DecompositionPair:
     """Split a canonical extremal Choi matrix into CP + co-CP rank-one parts.
 
-    Requires u, |y| and |z| all above tol; the split is then unique.  Both
-    parts keep the face structure of the input, sum to it exactly, and are
+    Requires h to pass extremal.validate_extremal at its default tolerance
+    and u, |y| and |z| all above tol; the split is then unique.  Both parts
+    keep the face structure of the input, sum to it up to rounding, and are
     rank one after the appropriate partial transpose.
     """
-    harr = linalg.as_matrix(h, 4)
-    _, _, u, _, y, z, t = _require_extremal(harr, validate_tol)
+    u, y, z, t = extremal.extremal_coefficients(h)
     _require_hypotheses(u, y, z, tol)
-    ru = float(np.sqrt(u))
-    one_minus_u = 1.0 - u
-    c = -z * t / (2.0 * abs(z) * ru)
-    t_half = 0.5 * t
-    h1 = np.array([
-        [abs(y) / ru, c, 0.0, y],
-        [np.conj(c), abs(z) * one_minus_u / ru, 0.0, t_half],
-        [0.0, 0.0, 0.0, 0.0],
-        [np.conj(y), np.conj(t_half), 0.0, abs(y) * ru],
-    ], dtype=np.complex128)
-    h2 = np.array([
-        [abs(z) / ru, -c, 0.0, 0.0],
-        [-np.conj(c), abs(y) * one_minus_u / ru, np.conj(z), t_half],
-        [0.0, z, 0.0, 0.0],
-        [0.0, np.conj(t_half), 0.0, abs(z) * ru],
-    ], dtype=np.complex128)
+    cand = uniqueness._canonical(u, y, z, t, tol)
+    h1, h2 = uniqueness._parts(u, y, z, t, cand)
     y1, z1 = _split_roots(u, y, t)
     k1, k2 = _factors(u, y1, z1)
-    return DecompositionPair(h1=h1, h2=h2, k1=k1, k2=k2, c=complex(c), y1=y1, z1=z1)
+    return DecompositionPair(h1=h1, h2=h2, k1=k1, k2=k2, c=cand.c, y1=y1, z1=z1)
 
 
 def kraus_operators(params: extremal.ExtremalParams,
@@ -118,14 +94,13 @@ def kraus_operators(params: extremal.ExtremalParams,
     return _factors(u, y1, z1)
 
 
-def verify_decomposition(h, pair: DecompositionPair, tol: float = 1e-10) -> Certificate:
+def verify_decomposition(h, pair: DecompositionPair, tol: float = linalg.PSD_TOL) -> Certificate:
     """Check a claimed split: the parts sum to h, h1 is CP, h2 is co-CP,
     and both lie in the canonical face (annihilate e1 on P_e2)."""
     harr = linalg.as_matrix(h, 4)
     e1 = np.array([1.0, 0.0], dtype=np.complex128)
     e2 = np.array([0.0, 1.0], dtype=np.complex128)
-    margins: list[tuple[str, float]] = []
-    margins.append(("sum", -linalg.maxabs(pair.h1 + pair.h2 - harr)))
+    margins = [("sum", -linalg.maxabs(pair.h1 + pair.h2 - harr))]
     for name, part in (("h1", pair.h1), ("h2", pair.h2)):
         margins.append((f"hermitian({name})", -linalg.hermitian_residual(part)))
     hermitian_ok = all(v >= -tol for name, v in margins if name.startswith("hermitian"))
@@ -134,8 +109,4 @@ def verify_decomposition(h, pair: DecompositionPair, tol: float = 1e-10) -> Cert
         margins.append(("ccp(h2)", certify.ccp_check(pair.h2, tol).margin))
         margins.append(("face(h1)", -choi.face_residual(pair.h1, e2, e1)))
         margins.append(("face(h2)", -choi.face_residual(pair.h2, e2, e1)))
-    worst = min(v for _, v in margins)
-    failed = [name for name, v in margins if v < -tol]
-    if failed:
-        return Certificate(FAIL, float(worst), witness=failed[0], detail=failed[0])
-    return Certificate(PASS, float(worst), detail="sum, classes, and faces")
+    return from_margins(margins, tol, "sum, classes, and faces")

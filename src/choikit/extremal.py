@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import certify, linalg
-from .certificate import FAIL, PASS, Certificate
+from .certificate import Certificate, from_margins
 from .errors import InvalidParamsError, NotExtremalError
 
 RELATION_TOL = 1e-10
@@ -177,19 +177,23 @@ def validate_extremal(h, tol: float = RELATION_TOL) -> Certificate:
             ("condition2", -min(abs(abs(y) - 1.0) + abs(z), abs(abs(z) - 1.0) + abs(y))),
             ("condition2", -abs(t)),
         ])
-    worst = min(v for _, v in margins)
-    failed = [name for name, v in margins if v < -tol]
-    if failed:
-        return Certificate(FAIL, float(worst), witness=failed[0], detail=failed[0])
-    return Certificate(PASS, float(worst), detail="all relations")
+    return from_margins(margins, tol, "all relations")
+
+
+def extremal_coefficients(h, tol: float = RELATION_TOL) -> tuple[float, complex, complex, complex]:
+    """(u, y, z, t) of h; raises NotExtremalError naming the first relation
+    that validate_extremal finds violated at tol."""
+    cert = validate_extremal(h, tol)
+    if not cert.passed:
+        raise NotExtremalError(
+            f"not a canonical extremal matrix: {cert.detail} (margin {cert.margin:.3e})")
+    _, _, u, _, y, z, t = certify.canonical_coefficients(h)
+    return u, y, z, t
 
 
 def params_from_choi(h, tol: float = RELATION_TOL) -> ExtremalParams:
     """Recover the parameter set of a validated canonical extremal matrix."""
-    cert = validate_extremal(h, tol)
-    if not cert.passed:
-        raise NotExtremalError(f"{cert.detail} violated (margin {cert.margin:.3e})")
-    _, _, u, _, y, z, t = certify.canonical_coefficients(h)
+    u, y, z, t = extremal_coefficients(h, tol)
     principal = derived_t(u, y, z, "+")
     branch = "+" if abs(t - principal) <= abs(t + principal) else "-"
     return ExtremalParams(u=u, y=y, z=z, t_branch=branch)

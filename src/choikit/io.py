@@ -41,7 +41,8 @@ def matrix_from_json(obj) -> np.ndarray:
             raise ValueError(f"row {i} must have exactly {n} entries")
         for j, pair in enumerate(row):
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(x, (int, float)) for x in pair)):
+                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                               for x in pair)):
                 raise ValueError(f"entry ({i},{j}) must be a [re, im] pair of numbers")
             out[i, j] = complex(float(pair[0]), float(pair[1]))
     return linalg.as_matrix(out, n)

@@ -51,10 +51,6 @@ def hermitian_residual(m) -> float:
     return maxabs(arr - arr.conj().T)
 
 
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
-    return hermitian_residual(as_matrix(m)) <= tol
-
-
 def require_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
     """Return the symmetrized matrix, or raise if the residual exceeds tol."""
     resid = hermitian_residual(m)
@@ -71,14 +67,6 @@ def unitarity_residual(m) -> float:
 
 def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
     return unitarity_residual(as_matrix(m)) <= tol
-
-
-def is_psd(m, tol: float = PSD_TOL) -> bool:
-    arr = as_matrix(m)
-    if hermitian_residual(arr) > tol:
-        return False
-    w = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))
-    return bool(w[0] >= -tol)
 
 
 def principal_sqrt(w) -> complex:

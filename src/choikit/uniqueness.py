@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import certify, extremal, linalg
-from .certificate import FAIL, PASS, Certificate
-from .errors import EpsilonTooLargeError, InvalidParamsError, NotExtremalError
+from .certificate import Certificate, from_margins
+from .errors import EpsilonTooLargeError, InvalidParamsError
 
+HYPOTHESIS_TOL = 1e-8
 FEASIBILITY_TOL = 1e-9
 DEGENERATE_TOL = 1e-9
 _GRID_CAP = 7
@@ -70,13 +71,44 @@ class FeasibilityReport:
     grid_points: int
 
 
-def _extremal_data(h, validate_tol: float = extremal.RELATION_TOL):
-    cert = extremal.validate_extremal(h, validate_tol)
-    if not cert.passed:
-        raise NotExtremalError(
-            f"not a canonical extremal matrix: {cert.detail} (margin {cert.margin:.3e})")
-    coeffs = certify.canonical_coefficients(h)
-    return coeffs.u, coeffs.y, coeffs.z, coeffs.t
+_extremal_data = extremal.extremal_coefficients
+
+
+def _canonical(u: float, y: complex, z: complex, t: complex, floor: float) -> SplitCandidate:
+    """The closed-form split if u, |y| and |z| exceed floor, else a boundary one."""
+    if u > floor and abs(y) > floor and abs(z) > floor:
+        ru = float(np.sqrt(u))
+        return SplitCandidate(
+            a1=abs(y) / ru,
+            b1=abs(z) * (1.0 - u) / ru,
+            u1=abs(y) * ru,
+            t1=0.5 * t,
+            c=complex(-z * t / (2.0 * abs(z) * ru)),
+        )
+    if u <= floor:
+        return SplitCandidate(a1=1.0, b1=1.0 - u, u1=0.0, t1=0.0, c=0.0)
+    if abs(y) <= floor:
+        return SplitCandidate(a1=0.0, b1=0.0, u1=0.0, t1=0.0, c=0.0)
+    return SplitCandidate(a1=1.0, b1=1.0 - u, u1=u, t1=complex(t), c=0.0)
+
+
+def _parts(u: float, y: complex, z: complex, t: complex,
+           cand: SplitCandidate) -> tuple[np.ndarray, np.ndarray]:
+    """The two structured parts of a candidate, the second from the totals."""
+    a2, b2, u2, t2 = cand.complement(u, t)
+    h1 = np.array([
+        [cand.a1, cand.c, 0.0, y],
+        [np.conj(cand.c), cand.b1, 0.0, cand.t1],
+        [0.0, 0.0, 0.0, 0.0],
+        [np.conj(y), np.conj(cand.t1), 0.0, cand.u1],
+    ], dtype=np.complex128)
+    h2 = np.array([
+        [a2, -cand.c, 0.0, 0.0],
+        [-np.conj(cand.c), b2, np.conj(z), t2],
+        [0.0, z, 0.0, 0.0],
+        [0.0, np.conj(t2), 0.0, u2],
+    ], dtype=np.complex128)
+    return h1, h2
 
 
 def _margin_table(u: float, y: complex, z: complex, t: complex, vecs: np.ndarray) -> np.ndarray:
@@ -113,54 +145,22 @@ def feasibility(h, cand: SplitCandidate, tol: float = FEASIBILITY_TOL) -> Certif
     """Test every structural and minor constraint of a candidate split."""
     u, y, z, t = _extremal_data(h)
     margins = _margin_table(u, y, z, t, cand.vector()[None, :])[0]
-    worst = float(np.min(margins))
-    failed = [name for name, v in zip(CONSTRAINT_NAMES, margins) if v < -tol]
-    if failed:
-        return Certificate(FAIL, worst, witness=failed[0], detail=failed[0])
-    return Certificate(PASS, worst, detail="all constraints")
+    return from_margins(list(zip(CONSTRAINT_NAMES, margins)), tol, "all constraints")
 
 
 def split_matrices(h, cand: SplitCandidate) -> tuple[np.ndarray, np.ndarray]:
     """Materialize the two structured parts described by a candidate."""
-    u, y, z, t = _extremal_data(h)
-    a2, b2, u2, t2 = cand.complement(u, t)
-    h1 = np.array([
-        [cand.a1, cand.c, 0.0, y],
-        [np.conj(cand.c), cand.b1, 0.0, cand.t1],
-        [0.0, 0.0, 0.0, 0.0],
-        [np.conj(y), np.conj(cand.t1), 0.0, cand.u1],
-    ], dtype=np.complex128)
-    h2 = np.array([
-        [a2, -cand.c, 0.0, 0.0],
-        [-np.conj(cand.c), b2, np.conj(z), t2],
-        [0.0, z, 0.0, 0.0],
-        [0.0, np.conj(t2), 0.0, u2],
-    ], dtype=np.complex128)
-    return h1, h2
+    return _parts(*_extremal_data(h), cand)
 
 
-def canonical_split(h, floor: float = 1e-8) -> SplitCandidate:
+def canonical_split(h, floor: float = HYPOTHESIS_TOL) -> SplitCandidate:
     """Closed-form split where it exists, or the natural boundary split.
 
     Away from the boundary this is the unique feasible candidate.  At the
     boundary instances: a CP input keeps all weight in the first part, a
     co-CP input keeps all weight in the second.
     """
-    u, y, z, t = _extremal_data(h)
-    if u > floor and abs(y) > floor and abs(z) > floor:
-        ru = float(np.sqrt(u))
-        return SplitCandidate(
-            a1=abs(y) / ru,
-            b1=abs(z) * (1.0 - u) / ru,
-            u1=abs(y) * ru,
-            t1=0.5 * t,
-            c=complex(-z * t / (2.0 * abs(z) * ru)),
-        )
-    if u <= floor:
-        return SplitCandidate(a1=1.0, b1=1.0 - u, u1=0.0, t1=0.0, c=0.0)
-    if abs(y) <= floor:
-        return SplitCandidate(a1=0.0, b1=0.0, u1=0.0, t1=0.0, c=0.0)
-    return SplitCandidate(a1=1.0, b1=1.0 - u, u1=u, t1=complex(t), c=0.0)
+    return _canonical(*_extremal_data(h), floor)
 
 
 def _structural_box(u: float, t: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +200,9 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
     10 * resolution from the canonical one are listed as alternates,
     farthest first, capped at alternates_cap entries; feasible_count and
     diameter (the exact max-coordinate spread of every feasible point
-    found, canonical included) always cover the full set.
+    found, canonical included) always cover the full set.  A feasible point
+    within tol of the canonical candidate (max-coordinate distance) counts
+    as that candidate.
     """
     if not np.isfinite(resolution) or resolution <= 0.0:
         raise ValueError(f"resolution must be positive, got {resolution!r}")
@@ -209,7 +211,7 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples!r}")
     u, y, z, t = _extremal_data(h)
-    canon = canonical_split(h)
+    canon = _canonical(u, y, z, t, HYPOTHESIS_TOL)
     cvec = canon.vector()
     lo, hi = _structural_box(u, t)
     lo_loc = np.maximum(lo, cvec - radius)
@@ -240,7 +242,10 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
             rows += feasible_rows(rng.uniform(blo, bhi, size=(take, 7)))
             remaining -= take
 
-    feasible = np.unique(np.vstack(rows), axis=0)
+    # the local grid's centre can land a few ulps off the canonical split
+    found = np.vstack(rows)
+    found[np.max(np.abs(found - cvec[None, :]), axis=1) <= tol] = cvec
+    feasible = np.unique(found, axis=0)
     distances = np.max(np.abs(feasible - cvec[None, :]), axis=1)
     diameter = float(np.max(np.max(feasible, axis=0) - np.min(feasible, axis=0)))
     far = np.flatnonzero(distances > 10.0 * resolution)

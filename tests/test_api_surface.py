@@ -1,0 +1,69 @@
+"""The package's public surface: the exported names, and no module-level
+function that nothing in the package or its tests refers to."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import choikit as ck
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "choikit"
+
+EXPORTS = {
+    "Certificate", "PASS", "FAIL",
+    "block_positive", "canonical_ccp_conditions", "canonical_coefficients",
+    "canonical_cp_conditions", "ccp_check", "cp_check",
+    "face_form_inequalities", "face_membership",
+    "FaceFrame", "apply_map", "canonicalize", "choi_from_action",
+    "choi_from_blocks", "conjugate", "partial_transpose",
+    "DecompositionPair", "decompose_extremal", "kraus_operators",
+    "verify_decomposition",
+    "ChoiKitError", "EpsilonTooLargeError", "HypothesisViolatedError",
+    "InvalidParamsError", "NonFiniteEntryError", "NotCanonicalFormError",
+    "NotExtremalError", "NotHermitianError", "NotInFaceError",
+    "NotUnitVectorError", "NotUnitaryError",
+    "ExtremalParams", "build_extremal", "degenerate_case", "derived_t",
+    "example_family", "params_from_choi", "random_params", "validate_extremal",
+    "complete_to_unitary", "psd_check", "rank_estimate",
+    "FeasibilityReport", "SplitCandidate", "canonical_split", "epsilon_family",
+    "feasibility", "split_matrices", "uniqueness_search",
+}
+
+
+def test_all_lists_exactly_the_exported_names():
+    assert len(EXPORTS) == 51
+    assert len(ck.__all__) == len(set(ck.__all__))
+    assert set(ck.__all__) == EXPORTS
+    for name in ck.__all__:
+        assert hasattr(ck, name), name
+
+
+def _module_functions() -> set[tuple[str, str]]:
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                found.add((path.stem, node.name))
+    return found
+
+
+def _referenced_names() -> set[str]:
+    names = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_module_level_function_is_referenced():
+    referenced = _referenced_names()
+    unused = sorted(f"{module}.{name}" for module, name in _module_functions()
+                    if name not in referenced)
+    assert unused == []

@@ -115,6 +115,14 @@ class TestCertify:
         result = run_cli("certify", str(path), "--cp")
         assert result.returncode == 2
 
+    def test_boolean_entries_exit_2(self, tmp_path):
+        # JSON true/false are not numbers, although Python's bool is an int
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"rows": [[[True, False]] * 4] * 4}), encoding="utf-8")
+        result = run_cli("certify", str(path), "--cp")
+        assert result.returncode == 2
+        assert "entry (0,0)" in result.stderr
+
     def test_stdin_input(self):
         payload = json.dumps(io.matrix_to_json(ck.choi_from_action(lambda a: a)))
         result = run_cli("certify", "-", "--cp", stdin_text=payload)

@@ -26,6 +26,15 @@ def expected_half_parts() -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
+def assert_candidate_path(h, pair):
+    """decompose_extremal gives exactly the parts of the canonical candidate."""
+    cand = ck.canonical_split(h)
+    h1, h2 = ck.split_matrices(h, cand)
+    assert np.array_equal(pair.h1, h1)
+    assert np.array_equal(pair.h2, h2)
+    assert pair.c == cand.c
+
+
 @pytest.fixture(scope="module")
 def sweep():
     rng = np.random.default_rng(40)
@@ -56,6 +65,13 @@ class TestExampleInstance:
         assert_rank_one_by_minors(pair.h1)
         assert_rank_one_by_minors(ck.partial_transpose(pair.h2))
 
+    @pytest.mark.parametrize("s", np.linspace(0.05, 0.95, 19))
+    def test_family_parts_sum_exactly_along_the_candidate_path(self, s):
+        h = ck.example_family(s)
+        pair = ck.decompose_extremal(h)
+        assert np.array_equal(pair.h1 + pair.h2, h)
+        assert_candidate_path(h, pair)
+
     def test_symmetric_parameters_mirror_the_parts(self):
         # y = z makes the CP part and the transposed co-CP part equal in modulus
         pair = ck.decompose_extremal(ck.example_family(0.7))
@@ -79,6 +95,10 @@ class TestSweepIdentities:
             assert np.linalg.eigvalsh(ck.partial_transpose(pair.h2))[0] >= -1e-10
             assert ck.rank_estimate(pair.h1) == 1
             assert ck.rank_estimate(ck.partial_transpose(pair.h2)) == 1
+
+    def test_parts_follow_the_candidate_path(self, sweep):
+        for _, h, pair in sweep:
+            assert_candidate_path(h, pair)
 
     def test_entry_formulas(self, sweep):
         for _, h, pair in sweep:

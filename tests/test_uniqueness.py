@@ -89,6 +89,12 @@ class TestUniquenessSearch:
         assert report.diameter <= 1e-3
         assert report.feasible_count == 1
 
+    def test_grid_point_a_rounding_off_the_split_is_not_a_second_one(self):
+        # the local grid's centre lands within ulps of the canonical split
+        report = ck.uniqueness_search(ck.example_family(0.62), samples=0)
+        assert report.feasible_count == 1
+        assert report.diameter == 0.0
+
     def test_degenerate_cases_expose_families(self):
         for kind, kwargs, offset_axis in (
             ("z_zero", {"y": 0.5}, 1),   # weight moves off b1
