@@ -37,10 +37,11 @@ class Certificate:
 
 def from_margins(margins, tol: float, passed_detail: str) -> Certificate:
     """Certificate for a list of (name, margin) conditions, each satisfied
-    when margin >= -tol: the smallest margin, and on FAIL the name of the
-    first violated condition as witness and detail."""
+    when margin >= -tol (so a NaN margin is violated): the smallest margin,
+    and on FAIL the name of the first violated condition as witness and
+    detail."""
     worst = float(np.min([v for _, v in margins]))
     for name, value in margins:
-        if value < -tol:
+        if not value >= -tol:
             return Certificate(FAIL, worst, witness=name, detail=name)
     return Certificate(PASS, worst, detail=passed_detail)

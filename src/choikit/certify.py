@@ -1,9 +1,9 @@
 """Decision procedures for the positivity classes of maps on 2x2 matrices.
 
-block_positive is one-sided: PASS is a numeric estimate (a Bloch-sphere grid
-plus local descent over input directions), while FAIL carries an explicit
-violating direction.  Every other check reduces to eigenvalues or to exact
-minor conditions on the canonical face form
+block_positive computes the minimum over input directions exactly, so both
+its PASS and its FAIL are decided, and FAIL carries the minimising
+direction.  Every other check reduces to eigenvalues or to exact minor
+conditions on the canonical face form
 
     [ a  c | 0  y ]
     [ c* b | z* t ]
@@ -23,94 +23,81 @@ from . import choi, linalg
 from .certificate import FAIL, PASS, Certificate, from_margins
 from .errors import NotCanonicalFormError
 
-BLOCK_GRID = (96, 192)
-REFINE_SEEDS = 8
-REFINE_STEPS = 200
 CANONICAL_PATTERN_TOL = 1e-9
 CONDITION_TOL = 1e-9
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_MAX_STEPS = 100  # a safety stop; converged inputs stop after a handful of steps
 
 
-def _direction(theta, phi):
-    """Unit vector (cos(theta/2), e^{i phi} sin(theta/2)); broadcasts."""
-    th = np.asarray(theta)
-    ph = np.asarray(phi)
-    return np.cos(0.5 * th), np.sin(0.5 * th) * np.exp(1j * ph)
+def _sphere_argmin(alpha, gamma):
+    """Unit x minimising sum_i alpha_i x_i^2 + 2 gamma_i x_i, alpha ascending.
 
-
-def _pair_form(m, c0, c1):
-    """<v, m v> for v = (c0, c1), vectorized over the components."""
-    return (np.conj(c0) * c0 * m[0, 0] + np.conj(c0) * c1 * m[0, 1]
-            + c0 * np.conj(c1) * m[1, 0] + np.conj(c1) * c1 * m[1, 1])
-
-
-def _compressed(h, theta, phi):
-    """Entries of the 2x2 matrix [<v, block_ij v>] at v = v(theta, phi)."""
-    c0, c1 = _direction(theta, phi)
-    qa = _pair_form(h[0:2, 0:2], c0, c1).real
-    qb = _pair_form(h[0:2, 2:4], c0, c1)
-    qd = _pair_form(h[2:4, 2:4], c0, c1).real
-    return qa, qb, qd
-
-
-def _lambda_min(h, theta, phi):
-    qa, qb, qd = _compressed(h, theta, phi)
-    half = 0.5 * (qa - qd)
-    return 0.5 * (qa + qd) - np.sqrt(half * half + np.abs(qb) ** 2)
+    x = -gamma / (alpha - alpha_0 + s) with s >= 0 the root of the secular
+    equation |x(s)| = 1 (Gander, Golub & von Matt 1989).  Newton's method on
+    1 - 1/|x(s)|, which is convex and decreasing (More & Sorensen 1983),
+    climbs to that root from a start where |x| >= 1 and stops when it no
+    longer moves.  If |x(0)| <= 1 (the hard case) s = 0 and x is completed
+    along the bottom eigenvector.
+    """
+    delta = alpha - alpha[0]
+    live = gamma != 0.0  # a zero gamma_i gives x_i = 0, even where delta_i + s = 0
+    s = max(0.0, float(np.max(np.abs(gamma) - delta)))
+    for _ in range(_MAX_STEPS):
+        den = np.where(live, delta + s, 1.0)
+        x = -gamma / den
+        norm2 = float(x @ x)
+        if not norm2 > 1.0:
+            break
+        s_next = s + norm2 * (np.sqrt(norm2) - 1.0) / float(x @ (x / den))
+        if not s_next > s:
+            break
+        s = s_next
+    if s == 0.0:
+        x[0] = np.sqrt(max(0.0, 1.0 - norm2))
+    return x / np.linalg.norm(x)
 
 
 def block_positive(h, tol: float = linalg.PSD_TOL) -> Certificate:
     """Certify block-positivity, i.e. positivity of the represented map.
 
-    Estimates the minimum over unit directions v of the smallest eigenvalue
-    of [<v, block_ij v>] by a deterministic grid search refined by
-    fixed-step coordinate descent from the best grid points.  PASS iff the
-    estimate is >= -tol; on FAIL the witness is the violating direction and
-    its compressed 2x2 matrix.
+    The margin is the minimum over unit directions v of the smallest
+    eigenvalue of C(v) = [<v, block_ij v>], computed exactly.  With
+    R[a, b] = tr(h sigma_a (x) sigma_b) and b = (1, r) for the Bloch vector r
+    of v, C(v) = 1/4 sum_a (R b)_a sigma_a, so its eigenvalues are
+    1/4 ((R b)_0 -+ |(R b)_1:|).  The minimum lies at or below the trace bound
+    1/4 (R_00 - |R_0,1:|), and C(v) - m I is PSD for every v iff its trace and
+    determinant are nonnegative on the sphere.  16 det(C(v) - m I) is a
+    quadratic in r whose quadratic part does not depend on m, so one 3x3
+    eigendecomposition serves every shift m.  Starting from the trace bound,
+    each step moves m down to lambda_min(C(v)) at the v minimising that
+    determinant (to first order a Newton step on the determinant's minimum
+    over the sphere), until m stops decreasing where that minimum is zero.
+    Every m is the trace bound or a value attained at some direction, so
+    the margin never lies below the true minimum.  PASS iff the margin is >= -tol; on FAIL the witness
+    is the direction minimising the determinant at the final m, and its
+    compressed 2x2 matrix.
     """
     harr = linalg.require_hermitian(linalg.as_matrix(h, 4), linalg.HERMITIAN_TOL)
-    n_t, n_p = BLOCK_GRID
-    thetas = np.linspace(0.0, np.pi, n_t)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_p, endpoint=False)
-    vals = _lambda_min(harr, thetas[:, None], phis[None, :])
-    flat = vals.ravel()
-    order = np.argsort(flat, kind="stable")[:REFINE_SEEDS]
-
-    cur = np.stack([thetas[order // n_p], phis[order % n_p]], axis=1)
-    cur_val = flat[order].astype(float)
-    best_val = float(cur_val[0])
-    best_pos = cur[0].copy()
-
-    step = np.full(len(order), max(np.pi / (n_t - 1), 2.0 * np.pi / n_p))
-    offsets = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    rows = np.arange(len(order))
-    for _ in range(REFINE_STEPS):
-        cand = cur[:, None, :] + step[:, None, None] * offsets[None, :, :]
-        cand_t = np.clip(cand[..., 0], 0.0, np.pi)
-        cand_p = np.mod(cand[..., 1], 2.0 * np.pi)
-        cand_val = _lambda_min(harr, cand_t, cand_p)
-        k = np.argmin(cand_val, axis=1)
-        kv = cand_val[rows, k]
-        improved = kv < cur_val
-        cur[improved, 0] = cand_t[rows, k][improved]
-        cur[improved, 1] = cand_p[rows, k][improved]
-        cur_val = np.where(improved, kv, cur_val)
-        step = np.where(improved, step, 0.5 * step)
-        if np.all(step < 1e-15):
+    r = np.einsum("aji,blk,ikjl->ab", _PAULI, _PAULI, harr.reshape(2, 2, 2, 2)).real
+    p, q, pm = r[0, 1:], r[1:, 0], r[1:, 1:]
+    alpha, basis = np.linalg.eigh(np.outer(p, p) - pm.T @ pm)
+    along_p, fixed = basis.T @ p, basis.T @ (pm.T @ q)
+    margin = 0.25 * float(r[0, 0] - np.linalg.norm(p))
+    for _ in range(_MAX_STEPS):
+        bloch = basis @ _sphere_argmin(alpha, (r[0, 0] - 4.0 * margin) * along_p - fixed)
+        rb = r @ np.concatenate(([1.0], bloch))
+        lowest = 0.25 * float(rb[0] - np.linalg.norm(rb[1:]))
+        if not lowest < margin:
             break
-
-    j = int(np.argmin(cur_val))
-    if float(cur_val[j]) < best_val:
-        best_val = float(cur_val[j])
-        best_pos = cur[j].copy()
+        margin = lowest
 
     detail = "min lambda_min over directions"
-    if best_val >= -tol:
-        return Certificate(PASS, best_val, detail=detail)
-    c0, c1 = _direction(best_pos[0], best_pos[1])
-    vec = np.array([complex(c0), complex(c1)])
-    qa, qb, qd = _compressed(harr, best_pos[0], best_pos[1])
-    mat = np.array([[complex(qa), complex(qb)], [np.conj(complex(qb)), complex(qd)]])
-    return Certificate(FAIL, best_val, witness=(vec, mat), detail=detail)
+    if margin >= -tol:
+        return Certificate(PASS, margin, detail=detail)
+    theta, phi = np.arctan2(np.hypot(bloch[0], bloch[1]), bloch[2]), np.arctan2(bloch[1], bloch[0])
+    vec = np.array([np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)])
+    frame = np.kron(np.eye(2), vec[:, None])
+    return Certificate(FAIL, margin, witness=(vec, frame.conj().T @ harr @ frame), detail=detail)
 
 
 def cp_check(h, tol: float = linalg.PSD_TOL) -> Certificate:

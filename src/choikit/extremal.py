@@ -150,15 +150,8 @@ def degenerate_case(kind: str, y: complex = 0.0, z: complex = 0.0) -> np.ndarray
     raise InvalidParamsError(f"unknown degenerate kind {kind!r}")
 
 
-def validate_extremal(h, tol: float = RELATION_TOL) -> Certificate:
-    """Certify that h is a canonical extremal-form Choi matrix.
-
-    Checks the zero pattern (including the (0,1) entry), unitality of the
-    diagonal, and the coefficient relations; the detail names the first
-    violated relation.  Raises NotCanonicalFormError only when the hard
-    zero pattern of the face form is broken.
-    """
-    a, b, u, c, y, z, t = certify.canonical_coefficients(h)
+def _check_relations(coeffs: certify.CanonicalCoefficients, tol: float) -> Certificate:
+    a, b, u, c, y, z, t = coeffs
     margins: list[tuple[str, float]] = [
         ("pattern:c=0", -abs(c)),
         ("condition1", -abs(a - 1.0)),
@@ -180,15 +173,26 @@ def validate_extremal(h, tol: float = RELATION_TOL) -> Certificate:
     return from_margins(margins, tol, "all relations")
 
 
+def validate_extremal(h, tol: float = RELATION_TOL) -> Certificate:
+    """Certify that h is a canonical extremal-form Choi matrix.
+
+    Checks the zero pattern (including the (0,1) entry), unitality of the
+    diagonal, and the coefficient relations; the detail names the first
+    violated relation.  Raises NotCanonicalFormError only when the hard
+    zero pattern of the face form is broken.
+    """
+    return _check_relations(certify.canonical_coefficients(h), tol)
+
+
 def extremal_coefficients(h, tol: float = RELATION_TOL) -> tuple[float, complex, complex, complex]:
     """(u, y, z, t) of h; raises NotExtremalError naming the first relation
     that validate_extremal finds violated at tol."""
-    cert = validate_extremal(h, tol)
+    coeffs = certify.canonical_coefficients(h)
+    cert = _check_relations(coeffs, tol)
     if not cert.passed:
         raise NotExtremalError(
             f"not a canonical extremal matrix: {cert.detail} (margin {cert.margin:.3e})")
-    _, _, u, _, y, z, t = certify.canonical_coefficients(h)
-    return u, y, z, t
+    return coeffs.u, coeffs.y, coeffs.z, coeffs.t
 
 
 def params_from_choi(h, tol: float = RELATION_TOL) -> ExtremalParams:

@@ -82,9 +82,10 @@ def psd_check(m, tol: float = PSD_TOL) -> Certificate:
 
     PASS iff the smallest eigenvalue is >= -tol.  The margin is that
     eigenvalue; on FAIL the witness is a unit eigenvector w with
-    <w, m w> equal to it.
+    <w, m w> equal to it.  Raises NotHermitianError if the hermiticity
+    residual exceeds HERMITIAN_TOL, whatever tol is.
     """
-    arr = require_hermitian(as_matrix(m), tol)
+    arr = require_hermitian(as_matrix(m), HERMITIAN_TOL)
     w, vecs = np.linalg.eigh(arr)
     lam = float(w[0])
     if lam >= -tol:

@@ -196,13 +196,17 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
     Deterministic coarse grids (a capped Cartesian grid over the structural
     box whose axes include the endpoints and center, plus one over the box
     of the given radius around the canonical candidate) are combined with
-    seeded uniform samples.  Feasible candidates farther than
-    10 * resolution from the canonical one are listed as alternates,
-    farthest first, capped at alternates_cap entries; feasible_count and
-    diameter (the exact max-coordinate spread of every feasible point
-    found, canonical included) always cover the full set.  A feasible point
-    within tol of the canonical candidate (max-coordinate distance) counts
-    as that candidate.
+    seeded uniform samples.  Each grid axis of positive span has
+    min(floor(span / resolution) + 1, 7) points, raised to at least 3 and to
+    an odd count; every resolution at or below span / 6 gives the same 7
+    points, so the resolution mostly sets the alternates threshold.
+    Feasible candidates
+    farther than 10 * resolution from the canonical one are listed as
+    alternates, farthest first, capped at alternates_cap entries;
+    feasible_count and diameter (the exact max-coordinate spread of every
+    feasible point found, canonical included) always cover the full set.
+    A feasible point within tol of the canonical candidate (max-coordinate
+    distance) counts as that candidate.
     """
     if not np.isfinite(resolution) or resolution <= 0.0:
         raise ValueError(f"resolution must be positive, got {resolution!r}")

@@ -1,5 +1,6 @@
 """The package's public surface: the exported names, and no module-level
-function that nothing in the package or its tests refers to."""
+function or UPPER_CASE constant that nothing in the package or its tests
+reads."""
 
 from __future__ import annotations
 
@@ -49,11 +50,26 @@ def _module_functions() -> set[tuple[str, str]]:
     return found
 
 
+def _module_constants() -> set[tuple[str, str]]:
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            found.update((path.stem, t.id) for t in targets
+                         if isinstance(t, ast.Name) and t.id.isupper())
+    return found
+
+
 def _referenced_names() -> set[str]:
     names = set()
     for path in [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -65,5 +81,12 @@ def _referenced_names() -> set[str]:
 def test_every_module_level_function_is_referenced():
     referenced = _referenced_names()
     unused = sorted(f"{module}.{name}" for module, name in _module_functions()
+                    if name not in referenced)
+    assert unused == []
+
+
+def test_every_module_level_constant_is_read():
+    referenced = _referenced_names()
+    unused = sorted(f"{module}.{name}" for module, name in _module_constants()
                     if name not in referenced)
     assert unused == []

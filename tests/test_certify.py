@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import choikit as ck
 from choikit import choi
 from choikit.errors import NotCanonicalFormError, NotHermitianError
 
-from conftest import random_canonical_matrix, random_mixture, random_unitary_conjugation_choi
+from conftest import (haar_unitary, random_canonical_matrix, random_hermitian, random_mixture,
+                      random_unitary_conjugation_choi)
 
 E1 = np.array([1.0, 0.0], dtype=np.complex128)
 E2 = np.array([0.0, 1.0], dtype=np.complex128)
@@ -13,6 +16,51 @@ E2 = np.array([0.0, 1.0], dtype=np.complex128)
 
 def identity_map_choi() -> np.ndarray:
     return ck.choi_from_action(lambda a: a)
+
+
+GRID_SHAPE = (300, 600)
+
+
+def grid_minimum(h: np.ndarray) -> float:
+    """Smallest eigenvalue of [<v, block_ij v>] over a (theta, phi) grid of
+    directions v = (cos(theta/2), e^{i phi} sin(theta/2)).
+
+    Every Bloch vector lies within pi/299 of a grid point, and the smallest
+    eigenvalue is Frobenius-norm(h)-Lipschitz in the Bloch vector, so the
+    grid minimum exceeds the true one by at most norm(h) * pi / 299.
+    """
+    theta = np.linspace(0.0, np.pi, GRID_SHAPE[0])[:, None]
+    phi = np.linspace(0.0, 2.0 * np.pi, GRID_SHAPE[1], endpoint=False)[None, :]
+    v0 = np.cos(theta / 2)
+    v1 = np.sin(theta / 2) * np.exp(1j * phi)
+
+    def form(i, j):
+        b = choi.block(h, i, j)
+        return (v0 * v0 * b[0, 0] + v0 * v1 * b[0, 1] + v0 * np.conj(v1) * b[1, 0]
+                + np.abs(v1) ** 2 * b[1, 1])
+
+    qa, qb, qd = form(0, 0).real, form(0, 1), form(1, 1).real
+    return float(np.min(0.5 * (qa + qd) - np.hypot(0.5 * (qa - qd), np.abs(qb))))
+
+
+def gapped_extremal(rng) -> tuple[np.ndarray, float]:
+    """An extremal map, whose compressed matrices have minimum eigenvalue
+    exactly 0, shifted by -gap * I, so the exact minimum is -gap."""
+    gap = float(rng.uniform(-0.5, 0.5))
+    return ck.build_extremal(ck.random_params(rng)) - gap * np.eye(4), gap
+
+
+def transpose_conjugation_choi(rng) -> np.ndarray:
+    v = haar_unitary(rng)
+    return ck.choi_from_action(lambda a: v @ a.T @ v.conj().T)
+
+
+BLOCK_INPUTS = {
+    "hermitian": random_hermitian,
+    "mixture": random_mixture,
+    "transpose_conjugation": transpose_conjugation_choi,
+    "extremal_minus_gap": lambda rng: gapped_extremal(rng)[0],
+}
 
 
 class TestBlockPositive:
@@ -62,6 +110,38 @@ class TestBlockPositive:
             assert cert.passed, (k, cert.margin)
             if ck.cp_check(h, tol=1e-10).passed:
                 assert cert.passed
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("kind", sorted(BLOCK_INPUTS))
+    def test_margin_is_the_grid_minimum_up_to_grid_error(self, kind, scale):
+        rng = np.random.default_rng([26, sorted(BLOCK_INPUTS).index(kind)])
+        for _ in range(4):
+            h = scale * BLOCK_INPUTS[kind](rng)
+            h = 0.5 * (h + h.conj().T)
+            margin = ck.block_positive(h).margin
+            grid = grid_minimum(h)
+            norm = float(np.linalg.norm(h))
+            assert margin <= grid + 1e-12 * norm
+            assert margin >= grid - norm * np.pi / (GRID_SHAPE[0] - 1)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_margin_is_minus_the_gap_below_an_extremal_map(self, scale):
+        rng = np.random.default_rng(27)
+        for _ in range(100):
+            h, gap = gapped_extremal(rng)
+            cert = ck.block_positive(scale * h)
+            assert abs(cert.margin / scale + gap) <= 1e-12
+            assert cert.passed == (gap <= 0.0)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_margin_is_invariant_under_unitary_conjugation(self, seed):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng) if seed % 2 else random_mixture(rng)
+        moved = ck.conjugate(h, haar_unitary(rng), haar_unitary(rng))
+        moved = 0.5 * (moved + moved.conj().T)
+        assert ck.block_positive(moved).margin == \
+            pytest.approx(ck.block_positive(h).margin, abs=1e-12)
 
 
 class TestCpCcp:

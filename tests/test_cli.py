@@ -123,6 +123,17 @@ class TestCertify:
         assert result.returncode == 2
         assert "entry (0,0)" in result.stderr
 
+    def test_non_hermitian_input_exit_2_whatever_the_tol(self, tmp_path):
+        # a loose verdict tolerance does not loosen the hermiticity guard
+        m = np.eye(4, dtype=np.complex128)
+        m[0, 1] = 1e-4
+        path = tmp_path / "m.json"
+        write_matrix(path, m)
+        for flag in ("--positive", "--cp", "--ccp"):
+            result = run_cli("certify", str(path), flag, "--tol", "1e-3")
+            assert result.returncode == 2, flag
+            assert "hermiticity" in result.stderr
+
     def test_stdin_input(self):
         payload = json.dumps(io.matrix_to_json(ck.choi_from_action(lambda a: a)))
         result = run_cli("certify", "-", "--cp", stdin_text=payload)

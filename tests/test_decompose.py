@@ -223,6 +223,17 @@ class TestVerifyDecomposition:
         assert not cert.passed
         assert cert.detail in ("cp(h1)", "ccp(h2)")
 
+    def test_nan_part_fails_the_sum(self):
+        h = ck.example_family(0.5)
+        pair = ck.decompose_extremal(h)
+        h1 = pair.h1.copy()
+        h1[0, 0] = np.nan
+        broken = ck.DecompositionPair(h1=h1, h2=pair.h2, k1=pair.k1, k2=pair.k2,
+                                      c=pair.c, y1=pair.y1, z1=pair.z1)
+        cert = ck.verify_decomposition(h, broken)
+        assert not cert.passed
+        assert cert.detail == "sum"
+
 
 class TestErrors:
     def test_degenerate_inputs_violate_the_hypotheses(self):

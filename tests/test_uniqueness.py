@@ -57,6 +57,12 @@ class TestFeasibility:
         h1, h2 = ck.split_matrices(h, cand)
         np.testing.assert_allclose(h1 + h2, h, atol=1e-14)
 
+    def test_nan_coefficient_fails_its_constraint(self):
+        cand = ck.SplitCandidate(float("nan"), 0.0, 0.0, 0j, 0j)
+        cert = ck.feasibility(ck.example_family(0.5), cand)
+        assert not cert.passed
+        assert cert.detail == "a1>=0"
+
     def test_non_extremal_input_rejected(self):
         h = ck.example_family(0.5)
         h[0, 3] = 0.3
