@@ -118,8 +118,7 @@ def face_membership(h, xi, eta, tol: float = choi.FACE_TOL) -> Certificate:
     Unlike the other certificates, the margin here is the residual norm
     itself (0 is ideal); PASS iff it is <= tol.
     """
-    harr = linalg.as_matrix(h, 4)
-    out = choi.apply_map(harr, choi.projector(xi)) @ linalg.as_vector(eta, 2)
+    out = choi.face_image(h, xi, eta)
     resid = float(np.linalg.norm(out))
     if resid <= tol:
         return Certificate(PASS, resid, detail="norm(phi(P_xi) eta)")
@@ -136,39 +135,38 @@ class CanonicalCoefficients(NamedTuple):
     t: complex
 
 
-def canonical_coefficients(h, tol: float = CANONICAL_PATTERN_TOL) -> CanonicalCoefficients:
+def canonical_coefficients(h) -> CanonicalCoefficients:
     """Read (a, b, u, c, y, z, t) off a canonical face-form matrix.
 
-    Raises NotCanonicalFormError if hermiticity or any fixed zero position
-    is violated beyond tol.
+    Raises NotHermitianError if the hermiticity residual exceeds
+    linalg.HERMITIAN_TOL, and NotCanonicalFormError if any fixed zero
+    position is violated beyond CANONICAL_PATTERN_TOL.
     """
-    harr = linalg.as_matrix(h, 4)
-    resid = linalg.hermitian_residual(harr)
-    if resid > tol:
-        raise NotCanonicalFormError(f"hermiticity residual {resid:.3e} exceeds tol {tol:.3e}")
-    hs = 0.5 * (harr + harr.conj().T)
+    hs = linalg.require_hermitian(linalg.as_matrix(h, 4), linalg.HERMITIAN_TOL)
     off = max(abs(hs[0, 2]), abs(hs[2, 2]), abs(hs[2, 3]))
-    if off > tol:
-        raise NotCanonicalFormError(f"off-pattern residual {off:.3e} exceeds tol {tol:.3e}")
+    if off > CANONICAL_PATTERN_TOL:
+        raise NotCanonicalFormError(
+            f"off-pattern residual {off:.3e} exceeds tol {CANONICAL_PATTERN_TOL:.3e}")
     return CanonicalCoefficients(
         a=float(hs[0, 0].real), b=float(hs[1, 1].real), u=float(hs[3, 3].real),
         c=complex(hs[0, 1]), y=complex(hs[0, 3]), z=complex(hs[2, 1]), t=complex(hs[1, 3]),
     )
 
 
+def _minors(a, b, u, c, y, t) -> list:
+    """Principal minors of a canonical matrix with z = 0, on numbers or on
+    equal-length arrays: on (a, u), (b, u), (a, b), then the 3x3 determinant."""
+    au = a * u - abs(y) ** 2
+    t2 = abs(t) ** 2
+    c2 = abs(c) ** 2
+    return [au, b * u - t2, a * b - c2,
+            b * au + 2.0 * (c * t * np.conj(y)).real - a * t2 - u * c2]
+
+
 def _minor_conditions(h, tol: float, tag: str) -> Certificate:
     a, b, u, c, y, z, t = canonical_coefficients(h)
-    margins = [
-        ("a>=0", a),
-        ("b>=0", b),
-        ("u>=0", u),
-        (tag + "1", -abs(z)),
-        (tag + "2", a * u - abs(y) ** 2),
-        (tag + "3", b * u - abs(t) ** 2),
-        (tag + "4", a * b - abs(c) ** 2),
-        (tag + "5", b * (a * u - abs(y) ** 2) + 2.0 * (c * t * np.conj(y)).real
-                    - a * abs(t) ** 2 - u * abs(c) ** 2),
-    ]
+    margins = [("a>=0", a), ("b>=0", b), ("u>=0", u), (tag + "1", -abs(z))]
+    margins += [(f"{tag}{k}", m) for k, m in enumerate(_minors(a, b, u, c, y, t), start=2)]
     return from_margins(margins, tol, "all conditions")
 
 

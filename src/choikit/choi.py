@@ -89,10 +89,9 @@ def projector(v) -> np.ndarray:
     return np.outer(vec, vec.conj()) / n2
 
 
-def face_residual(h, xi, eta) -> float:
-    """Norm of phi(P_xi) eta; zero iff the map annihilates eta on P_xi."""
-    out = apply_map(h, projector(xi))
-    return float(np.linalg.norm(out @ linalg.as_vector(eta, 2)))
+def face_image(h, xi, eta) -> np.ndarray:
+    """The vector phi(P_xi) eta; zero iff the map annihilates eta on P_xi."""
+    return apply_map(h, projector(xi)) @ linalg.as_vector(eta, 2)
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,7 @@ def canonicalize(h, xi, eta, tol: float = FACE_TOL) -> tuple[np.ndarray, FaceFra
     frame-dependent up to phases; their moduli are not.
     """
     harr = linalg.as_matrix(h, 4)
-    resid = face_residual(harr, xi, eta)
+    resid = float(np.linalg.norm(face_image(harr, xi, eta)))
     if resid > tol:
         raise NotInFaceError(f"face residual {resid:.3e} exceeds tol {tol:.3e}")
     frame = build_face_frame(xi, eta)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import certify, choi, extremal, linalg, uniqueness
-from .certificate import Certificate, from_margins
+from .certificate import FAIL, Certificate, from_margins
 from .errors import HypothesisViolatedError
 from .uniqueness import HYPOTHESIS_TOL
 
@@ -96,17 +96,22 @@ def kraus_operators(params: extremal.ExtremalParams,
 
 def verify_decomposition(h, pair: DecompositionPair, tol: float = linalg.PSD_TOL) -> Certificate:
     """Check a claimed split: the parts sum to h, h1 is CP, h2 is co-CP,
-    and both lie in the canonical face (annihilate e1 on P_e2)."""
+    and both lie in the canonical face (annihilate e1 on P_e2).  A part
+    whose hermiticity residual exceeds linalg.HERMITIAN_TOL, as cp_check and
+    ccp_check require, fails hermitian(hX) whatever tol is."""
     harr = linalg.as_matrix(h, 4)
     e1 = np.array([1.0, 0.0], dtype=np.complex128)
     e2 = np.array([0.0, 1.0], dtype=np.complex128)
     margins = [("sum", -linalg.maxabs(pair.h1 + pair.h2 - harr))]
     for name, part in (("h1", pair.h1), ("h2", pair.h2)):
         margins.append((f"hermitian({name})", -linalg.hermitian_residual(part)))
-    hermitian_ok = all(v >= -tol for name, v in margins if name.startswith("hermitian"))
-    if hermitian_ok:
+    skewed = [name for name, v in margins[1:] if not v >= -linalg.HERMITIAN_TOL]
+    if not skewed:
         margins.append(("cp(h1)", certify.cp_check(pair.h1, tol).margin))
         margins.append(("ccp(h2)", certify.ccp_check(pair.h2, tol).margin))
-        margins.append(("face(h1)", -choi.face_residual(pair.h1, e2, e1)))
-        margins.append(("face(h2)", -choi.face_residual(pair.h2, e2, e1)))
-    return from_margins(margins, tol, "sum, classes, and faces")
+        for name, part in (("h1", pair.h1), ("h2", pair.h2)):
+            margins.append((f"face({name})", -float(np.linalg.norm(choi.face_image(part, e2, e1)))))
+    cert = from_margins(margins, tol, "sum, classes, and faces")
+    if cert.passed and skewed:
+        return Certificate(FAIL, cert.margin, witness=skewed[0], detail=skewed[0])
+    return cert

@@ -3,10 +3,12 @@
 A candidate split is parameterized by seven real degrees of freedom
 (a1, b1, u1, t1, c); the complementary coefficients are derived from the
 input matrix totals and never stored.  Feasibility is the conjunction of
-the six nonnegativity constraints and the eight minor constraints of the
-two structured parts.  For inputs with u, |y|, |z| all nonzero the feasible
-set is a single point (the closed-form split); at the boundary instances
-whole families become feasible, which the search exhibits.
+14 constraints: the six diagonal entries, and the canonical minor conditions
+(certify._minors) of the first part and of the second's partial transpose,
+so the first part is CP and the second co-CP.  For inputs with u, |y|, |z|
+all nonzero the feasible set is a single point (the closed-form split); at
+the boundary instances whole families become feasible, which the search
+exhibits.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ FEASIBILITY_TOL = 1e-9
 DEGENERATE_TOL = 1e-9
 _GRID_CAP = 7
 _CHUNK = 1 << 18
+_ALTERNATES_CAP = 32
 
 CONSTRAINT_NAMES = (
     "a1>=0", "b1>=0", "u1>=0", "a2>=0", "b2>=0", "u2>=0",
@@ -111,8 +114,10 @@ def _parts(u: float, y: complex, z: complex, t: complex,
     return h1, h2
 
 
-def _margin_table(u: float, y: complex, z: complex, t: complex, vecs: np.ndarray) -> np.ndarray:
-    """Constraint margins for candidate vectors of shape (n, 7)."""
+def _constraint_margins(u: float, y: complex, z: complex, t: complex, vecs: np.ndarray) -> list:
+    """Margins of CONSTRAINT_NAMES for candidate vectors of shape (n, 7): the
+    diagonal entries, then the minors of h1 and of h2's partial transpose,
+    which is canonical with y -> z, t -> conj(t2) and c -> -c."""
     a1 = vecs[:, 0]
     b1 = vecs[:, 1]
     u1 = vecs[:, 2]
@@ -121,30 +126,15 @@ def _margin_table(u: float, y: complex, z: complex, t: complex, vecs: np.ndarray
     a2 = 1.0 - a1
     b2 = (1.0 - u) - b1
     u2 = u - u1
-    t2 = t - t1
-    y2 = abs(y) ** 2
-    z2 = abs(z) ** 2
-    abs_t1 = np.abs(t1) ** 2
-    abs_t2 = np.abs(t2) ** 2
-    abs_c = np.abs(c) ** 2
-    return np.stack([
-        a1, b1, u1, a2, b2, u2,
-        a1 * u1 - y2,
-        b1 * u1 - abs_t1,
-        a1 * b1 - abs_c,
-        b1 * (a1 * u1 - y2) + 2.0 * (c * t1 * np.conj(y)).real - a1 * abs_t1 - u1 * abs_c,
-        a2 * u2 - z2,
-        b2 * u2 - abs_t2,
-        a2 * b2 - abs_c,
-        b2 * (a2 * u2 - z2) - 2.0 * (c * np.conj(t2) * np.conj(z)).real
-        - a2 * abs_t2 - u2 * abs_c,
-    ], axis=1)
+    return [a1, b1, u1, a2, b2, u2,
+            *certify._minors(a1, b1, u1, c, y, t1),
+            *certify._minors(a2, b2, u2, -c, z, np.conj(t - t1))]
 
 
 def feasibility(h, cand: SplitCandidate, tol: float = FEASIBILITY_TOL) -> Certificate:
     """Test every structural and minor constraint of a candidate split."""
     u, y, z, t = _extremal_data(h)
-    margins = _margin_table(u, y, z, t, cand.vector()[None, :])[0]
+    margins = [m[0] for m in _constraint_margins(u, y, z, t, cand.vector()[None, :])]
     return from_margins(list(zip(CONSTRAINT_NAMES, margins)), tol, "all constraints")
 
 
@@ -189,8 +179,7 @@ def _box_grid(lo: np.ndarray, hi: np.ndarray, resolution: float) -> np.ndarray:
 
 def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
                       samples: int = 1_000_000, seed: int = 0,
-                      tol: float = FEASIBILITY_TOL,
-                      alternates_cap: int = 32) -> FeasibilityReport:
+                      tol: float = FEASIBILITY_TOL) -> FeasibilityReport:
     """Scan candidate space for feasible splits.
 
     Deterministic coarse grids (a capped Cartesian grid over the structural
@@ -202,7 +191,7 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
     points, so the resolution mostly sets the alternates threshold.
     Feasible candidates
     farther than 10 * resolution from the canonical one are listed as
-    alternates, farthest first, capped at alternates_cap entries;
+    alternates, farthest first, capped at 32 entries;
     feasible_count and diameter (the exact max-coordinate spread of every
     feasible point found, canonical included) always cover the full set.
     A feasible point within tol of the canonical candidate (max-coordinate
@@ -225,7 +214,9 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
         found = []
         for start in range(0, len(vecs), _CHUNK):
             chunk = vecs[start:start + _CHUNK]
-            mask = np.all(_margin_table(u, y, z, t, chunk) >= -tol, axis=1)
+            mask = np.ones(len(chunk), dtype=bool)
+            for margin in _constraint_margins(u, y, z, t, chunk):
+                mask &= margin >= -tol
             if np.any(mask):
                 found.append(chunk[mask])
         return found
@@ -256,7 +247,7 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
     far = far[np.lexsort(np.vstack([feasible[far].T[::-1], -distances[far]]))]
     alternates = tuple(
         (SplitCandidate.from_vector(feasible[i]), float(distances[i]))
-        for i in far[:alternates_cap]
+        for i in far[:_ALTERNATES_CAP]
     )
     return FeasibilityReport(
         canonical=canon,

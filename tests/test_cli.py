@@ -134,6 +134,18 @@ class TestCertify:
             assert result.returncode == 2, flag
             assert "hermiticity" in result.stderr
 
+    def test_canonical_checks_share_the_hermiticity_threshold(self, tmp_path):
+        # a residual of 5e-10 is within the pattern tolerance but not
+        # within the hermiticity threshold every other check uses
+        m = ck.degenerate_case("z_zero", y=0.5)
+        m[0, 1] += 5e-10
+        path = tmp_path / "m.json"
+        write_matrix(path, m)
+        for flag in ("--canonical-cp", "--canonical-ccp", "--face-form", "--extremal"):
+            result = run_cli("certify", str(path), flag)
+            assert result.returncode == 2, flag
+            assert "hermiticity" in result.stderr, flag
+
     def test_stdin_input(self):
         payload = json.dumps(io.matrix_to_json(ck.choi_from_action(lambda a: a)))
         result = run_cli("certify", "-", "--cp", stdin_text=payload)
@@ -192,6 +204,19 @@ class TestExplore:
         assert max(a["distance"] for a in results["search"]["alternates"]) >= 5e-3
         shift = io.matrix_from_json(results["epsilon_family"]["shift"])
         assert shift[1, 1] == 0.01
+
+    def test_readme_example(self, tmp_path):
+        path = tmp_path / "m.json"
+        write_matrix(path, ck.degenerate_case("y_zero", z=0.5))
+        result = run_cli("explore", str(path), "--samples", "100000",
+                         "--seed", "0", "--epsilon", "0.01")
+        assert result.returncode == 0, result.stderr
+        search = json.loads(result.stdout)["results"]["search"]
+        assert search["feasible_count"] == 13
+        assert search["diameter"] == 0.75
+        assert search["grid_points"] == 33614
+        assert [a["distance"] for a in search["alternates"]] == [
+            0.75, 0.625, 0.5, 0.375, 0.25, 0.2, 1 / 6, 0.13333333333333333, 0.125]
 
     def test_zero_resolution_exit_2(self, tmp_path):
         path = tmp_path / "m.json"

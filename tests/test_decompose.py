@@ -223,6 +223,20 @@ class TestVerifyDecomposition:
         assert not cert.passed
         assert cert.detail in ("cp(h1)", "ccp(h2)")
 
+    def test_skewed_part_fails_its_hermiticity_whatever_the_tol(self):
+        h = ck.example_family(0.5)
+        pair = ck.decompose_extremal(h)
+        h1 = pair.h1.copy()
+        h2 = pair.h2.copy()
+        h1[0, 1] += 1e-6  # the sum still holds: the difference moves into h2
+        h2[0, 1] -= 1e-6
+        broken = ck.DecompositionPair(h1=h1, h2=h2, k1=pair.k1, k2=pair.k2,
+                                      c=pair.c, y1=pair.y1, z1=pair.z1)
+        for tol in (1e-10, 1e-6, 1e-3):
+            cert = ck.verify_decomposition(h, broken, tol=tol)
+            assert not cert.passed, tol
+            assert cert.detail == "hermitian(h1)", tol
+
     def test_nan_part_fails_the_sum(self):
         h = ck.example_family(0.5)
         pair = ck.decompose_extremal(h)

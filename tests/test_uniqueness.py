@@ -63,6 +63,35 @@ class TestFeasibility:
         assert not cert.passed
         assert cert.detail == "a1>=0"
 
+    def test_feasible_iff_first_part_cp_and_second_co_cp(self):
+        # the oracle judges the materialized parts by their eigenvalues, so
+        # this pins the mirror y -> z, t -> conj(t2), c -> -c of the second
+        # part; values in the band where the two tolerances could disagree
+        # are skipped
+        rng = np.random.default_rng(5)
+        inputs = [ck.example_family(s) for s in (0.2, 0.5, 0.8)]
+        inputs += [ck.build_extremal(ck.random_params(rng)) for _ in range(3)]
+        inputs += [ck.degenerate_case("u_zero"), ck.degenerate_case("y_zero", z=0.5),
+                   ck.degenerate_case("z_zero", y=0.5)]
+        verdicts = []
+        for h in inputs:
+            base = ck.canonical_split(h).vector()
+            for k in range(61):
+                step = np.zeros(7)
+                if k:
+                    axes = rng.choice(7, size=rng.choice((1, 1, 2, 3)), replace=False)
+                    step[axes] = rng.normal(scale=10.0 ** rng.integers(-3, 0), size=len(axes))
+                cand = ck.SplitCandidate.from_vector(base + step)
+                h1, h2 = ck.split_matrices(h, cand)
+                cert = ck.feasibility(h, cand)
+                lam1 = np.linalg.eigvalsh(h1)[0]
+                lam2 = np.linalg.eigvalsh(ck.partial_transpose(h2))[0]
+                if any(-1e-6 < v < -1e-12 for v in (cert.margin, lam1, lam2)):
+                    continue
+                assert cert.passed == (ck.cp_check(h1).passed and ck.ccp_check(h2).passed)
+                verdicts.append(cert.passed)
+        assert verdicts.count(True) >= 10 and verdicts.count(False) >= 100
+
     def test_non_extremal_input_rejected(self):
         h = ck.example_family(0.5)
         h[0, 3] = 0.3
@@ -183,15 +212,16 @@ class TestEpsilonFamily:
 class TestReportShape:
     def test_alternates_are_sorted_farthest_first_and_capped(self):
         h = ck.degenerate_case("u_zero")
-        report = ck.uniqueness_search(h, samples=50_000, seed=8, alternates_cap=10)
-        assert len(report.alternates) == 10
+        report = ck.uniqueness_search(h, samples=50_000, seed=8)
+        assert len(report.alternates) == uniqueness._ALTERNATES_CAP == 32
         distances = [d for _, d in report.alternates]
         assert distances == sorted(distances, reverse=True)
-        assert report.feasible_count > 10
+        assert report.feasible_count > 32
 
     def test_constraint_names_align_with_margin_table(self):
         h = ck.example_family(0.5)
         cand = ck.canonical_split(h)
-        margins = uniqueness._margin_table(
-            *uniqueness._extremal_data(h), cand.vector()[None, :])[0]
-        assert margins.shape == (len(uniqueness.CONSTRAINT_NAMES),)
+        margins = uniqueness._constraint_margins(
+            *uniqueness._extremal_data(h), cand.vector()[None, :])
+        assert len(margins) == len(uniqueness.CONSTRAINT_NAMES)
+        assert all(m.shape == (1,) for m in margins)
