@@ -9,6 +9,7 @@ input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -28,7 +29,9 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the report to this file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="choikit",
         description="Construct, certify, and split positive maps on 2x2 matrices.",

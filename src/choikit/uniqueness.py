@@ -8,7 +8,8 @@ input matrix totals and never stored.  Feasibility is the conjunction of
 so the first part is CP and the second co-CP.  For inputs with u, |y|, |z|
 all nonzero the feasible set is a single point (the closed-form split); at
 the boundary instances whole families become feasible, which the search
-exhibits.
+exhibits.  The search tests CP1 and CcP1, which read only a1 and u1, on
+every candidate first, and the other twelve constraints on the survivors.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ HYPOTHESIS_TOL = 1e-8
 FEASIBILITY_TOL = 1e-9
 DEGENERATE_TOL = 1e-9
 _GRID_CAP = 7
-_CHUNK = 1 << 18
+_CHUNK = 1 << 13
 _ALTERNATES_CAP = 32
 
 CONSTRAINT_NAMES = (
@@ -171,12 +172,6 @@ def _axis_points(lo: float, hi: float, resolution: float) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _box_grid(lo: np.ndarray, hi: np.ndarray, resolution: float) -> np.ndarray:
-    axes = [_axis_points(float(a), float(b), resolution) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
                       samples: int = 1_000_000, seed: int = 0,
                       tol: float = FEASIBILITY_TOL) -> FeasibilityReport:
@@ -189,9 +184,11 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
     min(floor(span / resolution) + 1, 7) points, raised to at least 3 and to
     an odd count; every resolution at or below span / 6 gives the same 7
     points, so the resolution mostly sets the alternates threshold.
-    Feasible candidates
-    farther than 10 * resolution from the canonical one are listed as
-    alternates, farthest first, capped at 32 entries;
+    CP1 and CcP1, which read only a1 and u1, go first: only the (a1, u1)
+    grid pairs and sample rows that pass them meet the other 12 constraints,
+    so memory holds one block of at most 7**5 grid rows or one sample chunk.
+    Feasible candidates farther than 10 * resolution from the canonical one
+    are listed as alternates, farthest first, capped at 32 entries;
     feasible_count and diameter (the exact max-coordinate spread of every
     feasible point found, canonical included) always cover the full set.
     A feasible point within tol of the canonical candidate (max-coordinate
@@ -207,35 +204,31 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
     canon = _canonical(u, y, z, t, HYPOTHESIS_TOL)
     cvec = canon.vector()
     lo, hi = _structural_box(u, t)
-    lo_loc = np.maximum(lo, cvec - radius)
-    hi_loc = np.minimum(hi, cvec + radius)
+    boxes = ((lo, hi), (np.maximum(lo, cvec - radius), np.minimum(hi, cvec + radius)))
 
-    def feasible_rows(vecs: np.ndarray) -> list[np.ndarray]:
-        found = []
-        for start in range(0, len(vecs), _CHUNK):
-            chunk = vecs[start:start + _CHUNK]
-            mask = np.ones(len(chunk), dtype=bool)
-            for margin in _constraint_margins(u, y, z, t, chunk):
-                mask &= margin >= -tol
-            if np.any(mask):
-                found.append(chunk[mask])
-        return found
+    def cp1_ccp1(a1: np.ndarray, u1: np.ndarray) -> np.ndarray:
+        # certify._minors' own CP1 and CcP1 expressions, so no feasible row is lost
+        return (a1 * u1 - abs(y) ** 2 >= -tol) & ((1.0 - a1) * (u - u1) - abs(z) ** 2 >= -tol)
+
+    def feasible_rows(vecs: np.ndarray) -> np.ndarray:
+        vecs = vecs[cp1_ccp1(vecs[:, 0], vecs[:, 2])]
+        return vecs[np.logical_and.reduce([m >= -tol for m in _constraint_margins(u, y, z, t, vecs)])]
 
     rows: list[np.ndarray] = [cvec[None, :]]
-    grid_global = _box_grid(lo, hi, resolution)
-    grid_local = _box_grid(lo_loc, hi_loc, resolution)
-    grid_points = len(grid_global) + len(grid_local)
-    rows += feasible_rows(grid_global)
-    rows += feasible_rows(grid_local)
+    grid_points = 0
+    for blo, bhi in boxes:
+        axes = [_axis_points(float(a), float(b), resolution) for a, b in zip(blo, bhi)]
+        grid_points += int(np.prod([len(ax) for ax in axes]))
+        a1, u1 = (m.ravel() for m in np.meshgrid(axes[0], axes[2], indexing="ij"))
+        keep = cp1_ccp1(a1, u1)
+        for pa, pu in zip(a1[keep], u1[keep]):
+            block = np.meshgrid(pa, axes[1], pu, *axes[3:], indexing="ij")
+            rows.append(feasible_rows(np.stack([m.ravel() for m in block], axis=1)))
 
     rng = np.random.default_rng(seed)
-    n_global = samples // 2
-    for count, (blo, bhi) in ((n_global, (lo, hi)), (samples - n_global, (lo_loc, hi_loc))):
-        remaining = count
-        while remaining > 0:
-            take = min(remaining, _CHUNK)
-            rows += feasible_rows(rng.uniform(blo, bhi, size=(take, 7)))
-            remaining -= take
+    for count, (blo, bhi) in zip((samples // 2, samples - samples // 2), boxes):
+        for start in range(0, count, _CHUNK):
+            rows.append(feasible_rows(rng.uniform(blo, bhi, size=(min(count - start, _CHUNK), 7))))
 
     # the local grid's centre can land a few ulps off the canonical split
     found = np.vstack(rows)
@@ -244,6 +237,8 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
     distances = np.max(np.abs(feasible - cvec[None, :]), axis=1)
     diameter = float(np.max(np.max(feasible, axis=0) - np.min(feasible, axis=0)))
     far = np.flatnonzero(distances > 10.0 * resolution)
+    if len(far) > _ALTERNATES_CAP:  # keep the cap-th largest distance and its ties
+        far = far[distances[far] >= np.partition(distances[far], -_ALTERNATES_CAP)[-_ALTERNATES_CAP]]
     far = far[np.lexsort(np.vstack([feasible[far].T[::-1], -distances[far]]))]
     alternates = tuple(
         (SplitCandidate.from_vector(feasible[i]), float(distances[i]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import choikit as ck
-from choikit import io
+from choikit import cli, io
 
 
 def run_cli(*args, stdin_text=None):
@@ -240,3 +240,20 @@ class TestOutputFile:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["command"] == "generate"
         assert report["tool"] == "choikit"
+
+
+class TestInProcess:
+    def test_a_rejected_command_line_leaves_the_next_call_unchanged(self, capsys):
+        # main reuses one parser; argparse's exit 2 must leave it as new
+        argv = ["generate", "--u", "0.25", "--y", "0.25+0i", "--z", "0.25", "--seed", "3"]
+        fresh = run_cli(*argv)
+        assert fresh.returncode == 0, fresh.stderr
+        for bad in (["generate", "--no-such-flag"], ["generate", "--example-s", "0.5",
+                                                      "--json", "--pretty"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(bad)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert strip_timing(capsys.readouterr().out) == strip_timing(fresh.stdout)
+        assert cli.build_parser() is cli.build_parser()

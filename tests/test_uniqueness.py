@@ -1,8 +1,11 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 import choikit as ck
-from choikit import uniqueness
+from choikit import io, uniqueness
 from choikit.errors import EpsilonTooLargeError, InvalidParamsError, NotExtremalError
 
 
@@ -11,6 +14,40 @@ def candidate_from_cp_part(h1: np.ndarray) -> ck.SplitCandidate:
         a1=float(h1[0, 0].real), b1=float(h1[1, 1].real), u1=float(h1[3, 3].real),
         t1=complex(h1[1, 3]), c=complex(h1[0, 1]),
     )
+
+
+def brute_force_feasible(h, radius=0.2, resolution=1e-2, samples=0, seed=0,
+                         tol=uniqueness.FEASIBILITY_TOL):
+    """The canonical vector and every feasible point a scan should find: both
+    full grids and all seeded samples, masked on all 14 constraint columns."""
+    u, y, z, t = uniqueness._extremal_data(h)
+    cvec = ck.canonical_split(h).vector()
+    lo, hi = uniqueness._structural_box(u, t)
+    boxes = [(lo, hi), (np.maximum(lo, cvec - radius), np.minimum(hi, cvec + radius))]
+    cands = []
+    for blo, bhi in boxes:
+        axes = [uniqueness._axis_points(float(a), float(b), resolution) for a, b in zip(blo, bhi)]
+        cands.append(np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1))
+    rng = np.random.default_rng(seed)
+    for count, (blo, bhi) in zip((samples // 2, samples - samples // 2), boxes):
+        cands.append(rng.uniform(blo, bhi, size=(count, 7)))
+    cands = np.vstack(cands)
+    margins = np.array(uniqueness._constraint_margins(u, y, z, t, cands))
+    found = np.vstack([cvec[None, :], cands[np.all(margins >= -tol, axis=0)]])
+    found[np.max(np.abs(found - cvec), axis=1) <= tol] = cvec
+    return cvec, np.unique(found, axis=0)
+
+
+def full_lexsort_alternates(cvec, feasible, resolution):
+    """Far points by a lexsort of all of them, farthest first, capped at 32."""
+    distances = np.max(np.abs(feasible - cvec), axis=1)
+    far = np.flatnonzero(distances > 10.0 * resolution)
+    far = far[np.lexsort(np.vstack([feasible[far].T[::-1], -distances[far]]))]
+    return [(feasible[i].tobytes(), float(distances[i])) for i in far[:32]]
+
+
+def report_alternates(report):
+    return [(cand.vector().tobytes(), dist) for cand, dist in report.alternates]
 
 
 class TestFeasibility:
@@ -225,3 +262,76 @@ class TestReportShape:
             *uniqueness._extremal_data(h), cand.vector()[None, :])
         assert len(margins) == len(uniqueness.CONSTRAINT_NAMES)
         assert all(m.shape == (1,) for m in margins)
+
+
+class TestScanAgainstBruteForce:
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(17)
+        yield "family", ck.example_family(0.5)
+        yield "u_zero", ck.degenerate_case("u_zero")
+        yield "y_zero", ck.degenerate_case("y_zero", z=0.3 + 0.4j)
+        yield "z_zero", ck.degenerate_case("z_zero", y=-0.6j)
+        for k in range(3):
+            yield f"random{k}", ck.build_extremal(ck.random_params(rng))
+        # u - |z|^2 and u - |y|^2 round to -1.1e-16: the boundary families
+        # pass CcP1 or CP1 only through the tolerance
+        yield "y_zero_rounded", ck.build_extremal(ck.ExtremalParams(0.7, 0.0, math.sqrt(0.7)))
+        yield "z_zero_rounded", ck.build_extremal(ck.ExtremalParams(0.7, math.sqrt(0.7), 0.0))
+
+    @pytest.mark.parametrize("resolution", [0.5, 1e-1, 1e-2])
+    def test_feasible_set_matches_a_full_grid_scan(self, resolution):
+        for name, h in self._inputs():
+            report = ck.uniqueness_search(h, resolution=resolution, samples=20_000, seed=4)
+            cvec, feasible = brute_force_feasible(h, resolution=resolution,
+                                                  samples=20_000, seed=4)
+            assert report.feasible_count == len(feasible), name
+            assert report.diameter == float(np.max(np.ptp(feasible, axis=0))), name
+            assert report_alternates(report) == full_lexsort_alternates(
+                cvec, feasible, resolution), name
+
+    def test_rounded_inputs_need_the_tolerance(self):
+        # their families pass CcP1 (y = 0) or CP1 (z = 0) only at a margin
+        # below 0, so a prefilter judging those at 0 would lose them
+        rounded = list(self._inputs())[-2:]
+        for (name, h), constraint in zip(rounded, ("CcP1", "CP1")):
+            _, feasible = brute_force_feasible(h, samples=20_000, seed=4)
+            margins = uniqueness._constraint_margins(*uniqueness._extremal_data(h), feasible)
+            column = margins[uniqueness.CONSTRAINT_NAMES.index(constraint)]
+            assert len(feasible) > 1 and np.min(column) < 0.0, name
+
+    @pytest.mark.parametrize("kind, kwargs, tol", [
+        ("u_zero", {}, uniqueness.FEASIBILITY_TOL),   # 27 ties at 5/6, 13 beyond
+        ("y_zero", {"z": 0.5}, 0.03),                 # 132 ties at 0.2, 5 beyond
+    ])
+    def test_alternates_match_a_full_lexsort_through_ties_at_the_cap(self, kind, kwargs, tol):
+        h = ck.degenerate_case(kind, **kwargs)
+        report = ck.uniqueness_search(h, samples=0, tol=tol)
+        cvec, feasible = brute_force_feasible(h, samples=0, tol=tol)
+        expected = full_lexsort_alternates(cvec, feasible, 1e-2)
+        distances = np.max(np.abs(feasible - cvec), axis=1)
+        beyond = np.count_nonzero(distances > expected[-1][1])
+        ties = np.count_nonzero(distances == expected[-1][1])
+        assert beyond < 32 < beyond + ties and ties > 20
+        assert report_alternates(report) == expected
+
+
+class TestReportBytes:
+    # SHA-256 of the JSON reports of the README example and two boundary
+    # families: a change to a feasible set, to the order of the alternates
+    # or to a float's bits shows here
+    GOLDEN = (
+        ("family", lambda: ck.example_family(0.5), 100_000, 0,
+         "230ce776e13c8e02234bc8c7e645dd6508d72758e278d8cde7a3cd3b5cb0a0d1"),
+        ("y_zero", lambda: ck.degenerate_case("y_zero", z=0.5), 100_000, 0,
+         "379a379af375b737a1f94dd542f05cb53c4a65baf9298d25543cabb8e1106ac2"),
+        ("u_zero", lambda: ck.degenerate_case("u_zero"), 50_000, 8,
+         "dd0a313f0aa62f7d31dee79aa883d68a456801328d5c4739e39af0e49007468a"),
+    )
+
+    @pytest.mark.parametrize("name, make, samples, seed, digest", GOLDEN,
+                             ids=[g[0] for g in GOLDEN])
+    def test_report_json_is_pinned(self, name, make, samples, seed, digest):
+        report = ck.uniqueness_search(make(), samples=samples, seed=seed)
+        text = io.dumps_report(io.report_to_json(report))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
