@@ -187,6 +187,11 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
     CP1 and CcP1, which read only a1 and u1, go first: only the (a1, u1)
     grid pairs and sample rows that pass them meet the other 12 constraints,
     so memory holds one block of at most 7**5 grid rows or one sample chunk.
+    Samples are drawn as raw uniforms on [0, 1) into one reused 8192 x 7
+    buffer; only the a1 and u1 columns are scaled to the box before the
+    prefilter, and only the surviving rows afterwards.  The scaling is
+    Generator.uniform's own, so the samples are those of
+    default_rng(seed).uniform over each box, whatever the chunk size.
     Feasible candidates farther than 10 * resolution from the canonical one
     are listed as alternates, farthest first, capped at 32 entries;
     feasible_count and diameter (the exact max-coordinate spread of every
@@ -211,7 +216,7 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
         return (a1 * u1 - abs(y) ** 2 >= -tol) & ((1.0 - a1) * (u - u1) - abs(z) ** 2 >= -tol)
 
     def feasible_rows(vecs: np.ndarray) -> np.ndarray:
-        vecs = vecs[cp1_ccp1(vecs[:, 0], vecs[:, 2])]
+        # only for rows whose (a1, u1) already passed cp1_ccp1
         return vecs[np.logical_and.reduce([m >= -tol for m in _constraint_margins(u, y, z, t, vecs)])]
 
     rows: list[np.ndarray] = [cvec[None, :]]
@@ -225,15 +230,23 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
             block = np.meshgrid(pa, axes[1], pu, *axes[3:], indexing="ij")
             rows.append(feasible_rows(np.stack([m.ravel() for m in block], axis=1)))
 
+    # blo + span * U is Generator.uniform(blo, bhi)'s own arithmetic, so the
+    # samples are its samples, scaled only where the prefilter passes
     rng = np.random.default_rng(seed)
+    buf = np.empty((_CHUNK, 7))
     for count, (blo, bhi) in zip((samples // 2, samples - samples // 2), boxes):
+        span = bhi - blo
         for start in range(0, count, _CHUNK):
-            rows.append(feasible_rows(rng.uniform(blo, bhi, size=(min(count - start, _CHUNK), 7))))
+            draw = rng.random(out=buf[:min(count - start, _CHUNK)])
+            keep = cp1_ccp1(blo[0] + span[0] * draw[:, 0], blo[2] + span[2] * draw[:, 2])
+            rows.append(feasible_rows(blo + span * draw[keep]))
 
     # the local grid's centre can land a few ulps off the canonical split
     found = np.vstack(rows)
     found[np.max(np.abs(found - cvec[None, :]), axis=1) <= tol] = cvec
-    feasible = np.unique(found, axis=0)
+    # distinct rows in lexicographic order, equal as floats (-0.0 == 0.0)
+    found = found[np.lexsort(found.T[::-1])]
+    feasible = found[np.r_[True, np.any(found[1:] != found[:-1], axis=1)]]
     distances = np.max(np.abs(feasible - cvec[None, :]), axis=1)
     diameter = float(np.max(np.max(feasible, axis=0) - np.min(feasible, axis=0)))
     far = np.flatnonzero(distances > 10.0 * resolution)

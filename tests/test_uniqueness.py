@@ -290,6 +290,16 @@ class TestScanAgainstBruteForce:
             assert report_alternates(report) == full_lexsort_alternates(
                 cvec, feasible, resolution), name
 
+    def test_odd_sample_count_ends_each_box_on_a_partial_chunk(self):
+        # 20_001 splits 10_000 / 10_001 over the two boxes: one full chunk of
+        # 8192 each, then 1808 and 1809 rows
+        for name, h in self._inputs():
+            report = ck.uniqueness_search(h, samples=20_001, seed=5)
+            cvec, feasible = brute_force_feasible(h, samples=20_001, seed=5)
+            assert report.feasible_count == len(feasible), name
+            assert report.diameter == float(np.max(np.ptp(feasible, axis=0))), name
+            assert report_alternates(report) == full_lexsort_alternates(cvec, feasible, 1e-2), name
+
     def test_rounded_inputs_need_the_tolerance(self):
         # their families pass CcP1 (y = 0) or CP1 (z = 0) only at a margin
         # below 0, so a prefilter judging those at 0 would lose them
@@ -319,7 +329,8 @@ class TestScanAgainstBruteForce:
 class TestReportBytes:
     # SHA-256 of the JSON reports of the README example and two boundary
     # families: a change to a feasible set, to the order of the alternates
-    # or to a float's bits shows here
+    # or to a float's bits shows here.  At 1e6 samples every u_zero sample
+    # passes the CP1 and CcP1 prefilter, and ~131 k feasible rows are deduplicated
     GOLDEN = (
         ("family", lambda: ck.example_family(0.5), 100_000, 0,
          "230ce776e13c8e02234bc8c7e645dd6508d72758e278d8cde7a3cd3b5cb0a0d1"),
@@ -327,6 +338,8 @@ class TestReportBytes:
          "379a379af375b737a1f94dd542f05cb53c4a65baf9298d25543cabb8e1106ac2"),
         ("u_zero", lambda: ck.degenerate_case("u_zero"), 50_000, 8,
          "dd0a313f0aa62f7d31dee79aa883d68a456801328d5c4739e39af0e49007468a"),
+        ("u_zero_1e6", lambda: ck.degenerate_case("u_zero"), 1_000_000, 0,
+         "b3edd81aa87ec0db4e0bbdf1938e8b8f6d1a1732d95b2095a382f6f58a53d68f"),
     )
 
     @pytest.mark.parametrize("name, make, samples, seed, digest", GOLDEN,
@@ -335,3 +348,16 @@ class TestReportBytes:
         report = ck.uniqueness_search(make(), samples=samples, seed=seed)
         text = io.dumps_report(io.report_to_json(report))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("chunk", [1000, 1 << 16])
+    @pytest.mark.parametrize("make", [lambda: ck.example_family(0.5),
+                                      lambda: ck.degenerate_case("u_zero")],
+                             ids=["family", "u_zero"])
+    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch, make, chunk):
+        def report_text():
+            report = ck.uniqueness_search(make(), samples=50_000, seed=8)
+            return io.dumps_report(io.report_to_json(report))
+
+        default = report_text()
+        monkeypatch.setattr(uniqueness, "_CHUNK", chunk)
+        assert report_text() == default
