@@ -23,8 +23,6 @@ from . import choi, linalg
 from .certificate import FAIL, PASS, Certificate, from_margins
 from .errors import NotCanonicalFormError
 
-CANONICAL_PATTERN_TOL = 1e-9
-CONDITION_TOL = 1e-9
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _MAX_STEPS = 100  # a safety stop; converged inputs stop after a handful of steps
 
@@ -57,7 +55,7 @@ def _sphere_argmin(alpha, gamma):
     return x / np.linalg.norm(x)
 
 
-def block_positive(h, tol: float = linalg.PSD_TOL) -> Certificate:
+def block_positive(h, tol: float = linalg.TOL) -> Certificate:
     """Certify block-positivity, i.e. positivity of the represented map.
 
     The margin is the minimum over unit directions v of the smallest
@@ -73,11 +71,11 @@ def block_positive(h, tol: float = linalg.PSD_TOL) -> Certificate:
     determinant (to first order a Newton step on the determinant's minimum
     over the sphere), until m stops decreasing where that minimum is zero.
     Every m is the trace bound or a value attained at some direction, so
-    the margin never lies below the true minimum.  PASS iff the margin is >= -tol; on FAIL the witness
-    is the direction minimising the determinant at the final m, and its
-    compressed 2x2 matrix.
+    the margin never lies below the true minimum.  PASS iff the margin is
+    >= -tol * max|h|; on FAIL the witness is the direction minimising the
+    determinant at the final m, and its compressed 2x2 matrix.
     """
-    harr = linalg.require_hermitian(linalg.as_matrix(h, 4), linalg.HERMITIAN_TOL)
+    harr = linalg.require_hermitian(linalg.as_matrix(h, 4))
     r = np.einsum("aji,blk,ikjl->ab", _PAULI, _PAULI, harr.reshape(2, 2, 2, 2)).real
     p, q, pm = r[0, 1:], r[1:, 0], r[1:, 1:]
     alpha, basis = np.linalg.eigh(np.outer(p, p) - pm.T @ pm)
@@ -92,7 +90,7 @@ def block_positive(h, tol: float = linalg.PSD_TOL) -> Certificate:
         margin = lowest
 
     detail = "min lambda_min over directions"
-    if margin >= -tol:
+    if margin >= -linalg.scaled_tol(harr, tol):
         return Certificate(PASS, margin, detail=detail)
     theta, phi = np.arctan2(np.hypot(bloch[0], bloch[1]), bloch[2]), np.arctan2(bloch[1], bloch[0])
     vec = np.array([np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)])
@@ -100,27 +98,27 @@ def block_positive(h, tol: float = linalg.PSD_TOL) -> Certificate:
     return Certificate(FAIL, margin, witness=(vec, frame.conj().T @ harr @ frame), detail=detail)
 
 
-def cp_check(h, tol: float = linalg.PSD_TOL) -> Certificate:
+def cp_check(h, tol: float = linalg.TOL) -> Certificate:
     """Complete positivity: PSD test of the Choi matrix itself."""
     cert = linalg.psd_check(linalg.as_matrix(h, 4), tol=tol)
     return Certificate(cert.verdict, cert.margin, cert.witness, "lambda_min(choi)")
 
 
-def ccp_check(h, tol: float = linalg.PSD_TOL) -> Certificate:
+def ccp_check(h, tol: float = linalg.TOL) -> Certificate:
     """Complete copositivity: PSD test of the partially transposed matrix."""
     cert = linalg.psd_check(choi.partial_transpose(h), tol=tol)
     return Certificate(cert.verdict, cert.margin, cert.witness, "lambda_min(partial transpose)")
 
 
-def face_membership(h, xi, eta, tol: float = choi.FACE_TOL) -> Certificate:
+def face_membership(h, xi, eta, tol: float = linalg.TOL) -> Certificate:
     """Residual test of phi(P_xi) eta = 0.
 
     Unlike the other certificates, the margin here is the residual norm
-    itself (0 is ideal); PASS iff it is <= tol.
+    itself (0 is ideal); PASS iff it is <= tol * max|h|.
     """
     out = choi.face_image(h, xi, eta)
     resid = float(np.linalg.norm(out))
-    if resid <= tol:
+    if resid <= linalg.scaled_tol(h, tol):
         return Certificate(PASS, resid, detail="norm(phi(P_xi) eta)")
     return Certificate(FAIL, resid, witness=out, detail="norm(phi(P_xi) eta)")
 
@@ -138,15 +136,15 @@ class CanonicalCoefficients(NamedTuple):
 def canonical_coefficients(h) -> CanonicalCoefficients:
     """Read (a, b, u, c, y, z, t) off a canonical face-form matrix.
 
-    Raises NotHermitianError if the hermiticity residual exceeds
-    linalg.HERMITIAN_TOL, and NotCanonicalFormError if any fixed zero
-    position is violated beyond CANONICAL_PATTERN_TOL.
+    Raises NotHermitianError if linalg.require_hermitian does, and
+    NotCanonicalFormError if any fixed zero position is violated beyond
+    linalg.scaled_tol(h, linalg.TOL).
     """
-    hs = linalg.require_hermitian(linalg.as_matrix(h, 4), linalg.HERMITIAN_TOL)
+    hs = linalg.require_hermitian(linalg.as_matrix(h, 4))
     off = max(abs(hs[0, 2]), abs(hs[2, 2]), abs(hs[2, 3]))
-    if off > CANONICAL_PATTERN_TOL:
-        raise NotCanonicalFormError(
-            f"off-pattern residual {off:.3e} exceeds tol {CANONICAL_PATTERN_TOL:.3e}")
+    bound = linalg.scaled_tol(hs, linalg.TOL)
+    if off > bound:
+        raise NotCanonicalFormError(f"off-pattern residual {off:.3e} exceeds tol {bound:.3e}")
     return CanonicalCoefficients(
         a=float(hs[0, 0].real), b=float(hs[1, 1].real), u=float(hs[3, 3].real),
         c=complex(hs[0, 1]), y=complex(hs[0, 3]), z=complex(hs[2, 1]), t=complex(hs[1, 3]),
@@ -167,33 +165,36 @@ def _minor_conditions(h, tol: float, tag: str) -> Certificate:
     a, b, u, c, y, z, t = canonical_coefficients(h)
     margins = [("a>=0", a), ("b>=0", b), ("u>=0", u), (tag + "1", -abs(z))]
     margins += [(f"{tag}{k}", m) for k, m in enumerate(_minors(a, b, u, c, y, t), start=2)]
-    return from_margins(margins, tol, "all conditions")
+    degrees = np.array([1, 1, 1, 1, 2, 2, 2, 3])
+    return from_margins(margins, linalg.scaled_tol(h, tol, degrees), "all conditions")
 
 
-def canonical_cp_conditions(h, tol: float = CONDITION_TOL) -> Certificate:
+def canonical_cp_conditions(h, tol: float = linalg.TOL) -> Certificate:
     """Exact coefficient conditions for complete positivity in canonical form.
 
     Equivalent to PSD of the matrix: nonnegative diagonal, z = 0 (A1), the
     three 2x2 minors (A2)-(A4), and the 3x3 determinant (A5) evaluated in
-    expanded form.  The detail names the first violated condition.
+    expanded form, each judged at tol * max|h|**degree.  The detail names
+    the first violated condition.
     """
     return _minor_conditions(h, tol, "A")
 
 
-def canonical_ccp_conditions(h, tol: float = CONDITION_TOL) -> Certificate:
+def canonical_ccp_conditions(h, tol: float = linalg.TOL) -> Certificate:
     """Mirror conditions for complete copositivity: y = 0 (B1) and the
     minors of the partially transposed matrix (B2)-(B5), which is canonical
     with y and z swapped and t conjugated."""
     return _minor_conditions(choi.partial_transpose(h), tol, "B")
 
 
-def face_form_inequalities(h, tol: float = CONDITION_TOL) -> Certificate:
+def face_form_inequalities(h, tol: float = linalg.TOL) -> Certificate:
     """The three inequalities every positive face member satisfies:
-    |c|^2 <= ab, |t|^2 <= bu, and (|y| + |z|)^2 <= au."""
+    |c|^2 <= ab, |t|^2 <= bu, and (|y| + |z|)^2 <= au, each of degree 2 and
+    judged at tol * max|h|**2."""
     a, b, u, c, y, z, t = canonical_coefficients(h)
     margins = [
         ("|c|^2<=ab", a * b - abs(c) ** 2),
         ("|t|^2<=bu", b * u - abs(t) ** 2),
         ("(|y|+|z|)^2<=au", a * u - (abs(y) + abs(z)) ** 2),
     ]
-    return from_margins(margins, tol, "all conditions")
+    return from_margins(margins, linalg.scaled_tol(h, tol, 2), "all conditions")

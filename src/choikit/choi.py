@@ -14,8 +14,6 @@ import numpy as np
 from . import linalg
 from .errors import NotInFaceError, NotUnitaryError
 
-FACE_TOL = 1e-10
-
 
 def matrix_unit(i: int, j: int) -> np.ndarray:
     m = np.zeros((2, 2), dtype=np.complex128)
@@ -63,7 +61,7 @@ def partial_transpose(h) -> np.ndarray:
     return out
 
 
-def conjugate(h, v, w, tol: float = linalg.UNITARY_TOL) -> np.ndarray:
+def conjugate(h, v, w, tol: float = linalg.TOL) -> np.ndarray:
     """Choi matrix of A -> V* phi(W A W*) V for unitaries V and W.
 
     This is a unitary conjugation of the flat matrix, so it preserves the
@@ -116,18 +114,20 @@ def build_face_frame(xi, eta) -> FaceFrame:
     return FaceFrame(xi=xi, eta=eta, w=w, v=v)
 
 
-def canonicalize(h, xi, eta, tol: float = FACE_TOL) -> tuple[np.ndarray, FaceFrame]:
+def canonicalize(h, xi, eta, tol: float = linalg.TOL) -> tuple[np.ndarray, FaceFrame]:
     """Rotate a map annihilating (xi, eta) into canonical coordinates.
 
     Returns the conjugated Choi matrix together with the frame used.  For a
     positive map the result has block (2,2) proportional to E22 and a zero
     in the top-left entry of block (1,2).  The residual phase freedom of the
     frame is not normalized away, so the off-diagonal coefficients are
-    frame-dependent up to phases; their moduli are not.
+    frame-dependent up to phases; their moduli are not.  Raises
+    NotInFaceError if the face residual exceeds tol * max|h|.
     """
     harr = linalg.as_matrix(h, 4)
     resid = float(np.linalg.norm(face_image(harr, xi, eta)))
-    if resid > tol:
-        raise NotInFaceError(f"face residual {resid:.3e} exceeds tol {tol:.3e}")
+    bound = linalg.scaled_tol(harr, tol)
+    if resid > bound:
+        raise NotInFaceError(f"face residual {resid:.3e} exceeds tol {bound:.3e}")
     frame = build_face_frame(xi, eta)
     return conjugate(harr, frame.v, frame.w), frame

@@ -21,7 +21,7 @@ from .errors import ChoiKitError
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=None,
-                        help="override the command's default tolerance")
+                        help="override the default tolerance, relative to the largest entry")
     parser.add_argument("--seed", type=int, default=0, help="random seed where applicable")
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine-readable output (default)")

@@ -11,7 +11,6 @@ import numpy as np
 from . import certify, choi, extremal, linalg, uniqueness
 from .certificate import FAIL, Certificate, from_margins
 from .errors import HypothesisViolatedError
-from .uniqueness import HYPOTHESIS_TOL
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ def _factors(u: float, y1: complex, z1: complex) -> tuple[np.ndarray, np.ndarray
     return k1, k2
 
 
-def decompose_extremal(h, tol: float = HYPOTHESIS_TOL) -> DecompositionPair:
+def decompose_extremal(h, tol: float = linalg.TOL) -> DecompositionPair:
     """Split a canonical extremal Choi matrix into CP + co-CP rank-one parts.
 
     Requires h to pass extremal.validate_extremal at its default tolerance
@@ -81,7 +80,7 @@ def decompose_extremal(h, tol: float = HYPOTHESIS_TOL) -> DecompositionPair:
 
 
 def kraus_operators(params: extremal.ExtremalParams,
-                    tol: float = HYPOTHESIS_TOL) -> tuple[np.ndarray, np.ndarray]:
+                    tol: float = linalg.TOL) -> tuple[np.ndarray, np.ndarray]:
     """Factor operators (k1, k2) of the split for a parameterized map.
 
     The represented map is A -> k1 A k1* + k2 A^T k2* with
@@ -94,24 +93,24 @@ def kraus_operators(params: extremal.ExtremalParams,
     return _factors(u, y1, z1)
 
 
-def verify_decomposition(h, pair: DecompositionPair, tol: float = linalg.PSD_TOL) -> Certificate:
+def verify_decomposition(h, pair: DecompositionPair, tol: float = linalg.TOL) -> Certificate:
     """Check a claimed split: the parts sum to h, h1 is CP, h2 is co-CP,
-    and both lie in the canonical face (annihilate e1 on P_e2).  A part
-    whose hermiticity residual exceeds linalg.HERMITIAN_TOL, as cp_check and
-    ccp_check require, fails hermitian(hX) whatever tol is."""
+    and both lie in the canonical face (annihilate e1 on P_e2), each judged
+    at tol * max|h|.  A part that linalg.require_hermitian rejects, as
+    cp_check and ccp_check do, fails hermitian(hX) whatever tol is."""
     harr = linalg.as_matrix(h, 4)
     e1 = np.array([1.0, 0.0], dtype=np.complex128)
     e2 = np.array([0.0, 1.0], dtype=np.complex128)
+    parts = (("h1", pair.h1), ("h2", pair.h2))
     margins = [("sum", -linalg.maxabs(pair.h1 + pair.h2 - harr))]
-    for name, part in (("h1", pair.h1), ("h2", pair.h2)):
-        margins.append((f"hermitian({name})", -linalg.hermitian_residual(part)))
-    skewed = [name for name, v in margins[1:] if not v >= -linalg.HERMITIAN_TOL]
-    if not skewed:
+    margins += [(f"hermitian({name})", -linalg.hermitian_residual(part)) for name, part in parts]
+    skew = from_margins(margins[1:], [linalg.scaled_tol(p, linalg.TOL) for _, p in parts], "")
+    if skew.passed:
         margins.append(("cp(h1)", certify.cp_check(pair.h1, tol).margin))
         margins.append(("ccp(h2)", certify.ccp_check(pair.h2, tol).margin))
-        for name, part in (("h1", pair.h1), ("h2", pair.h2)):
+        for name, part in parts:
             margins.append((f"face({name})", -float(np.linalg.norm(choi.face_image(part, e2, e1)))))
-    cert = from_margins(margins, tol, "sum, classes, and faces")
-    if cert.passed and skewed:
-        return Certificate(FAIL, cert.margin, witness=skewed[0], detail=skewed[0])
+    cert = from_margins(margins, linalg.scaled_tol(harr, tol), "sum, classes, and faces")
+    if cert.passed and not skew.passed:
+        return Certificate(FAIL, cert.margin, witness=skew.detail, detail=skew.detail)
     return cert

@@ -28,8 +28,6 @@ from . import certify, linalg
 from .certificate import Certificate, from_margins
 from .errors import InvalidParamsError, NotExtremalError
 
-RELATION_TOL = 1e-10
-
 
 def derived_t(u: float, y: complex, z: complex, branch: str = "+") -> complex:
     """Branch-selected square root of -4 (1 - u) y conj(z)."""
@@ -56,7 +54,7 @@ class ExtremalParams:
     def t(self) -> complex:
         return derived_t(self.u, self.y, self.z, self.t_branch)
 
-    def validate(self, tol: float = RELATION_TOL) -> None:
+    def validate(self, tol: float = linalg.TOL) -> None:
         """Raise InvalidParamsError naming the first violated invariant."""
         u = float(self.u)
         y = complex(self.y)
@@ -80,7 +78,7 @@ class ExtremalParams:
                     f"b = 0 requires |y| = 1 or |z| = 1 (other zero); residual {edge:.3e}")
 
 
-def build_extremal(params: ExtremalParams, tol: float = RELATION_TOL) -> np.ndarray:
+def build_extremal(params: ExtremalParams, tol: float = linalg.TOL) -> np.ndarray:
     """Canonical extremal Choi matrix for a validated parameter set."""
     params.validate(tol)
     u = float(params.u)
@@ -173,7 +171,7 @@ def _check_relations(coeffs: certify.CanonicalCoefficients, tol: float) -> Certi
     return from_margins(margins, tol, "all relations")
 
 
-def validate_extremal(h, tol: float = RELATION_TOL) -> Certificate:
+def validate_extremal(h, tol: float = linalg.TOL) -> Certificate:
     """Certify that h is a canonical extremal-form Choi matrix.
 
     Checks the zero pattern (including the (0,1) entry), unitality of the
@@ -184,7 +182,7 @@ def validate_extremal(h, tol: float = RELATION_TOL) -> Certificate:
     return _check_relations(certify.canonical_coefficients(h), tol)
 
 
-def extremal_coefficients(h, tol: float = RELATION_TOL) -> tuple[float, complex, complex, complex]:
+def extremal_coefficients(h, tol: float = linalg.TOL) -> tuple[float, complex, complex, complex]:
     """(u, y, z, t) of h; raises NotExtremalError naming the first relation
     that validate_extremal finds violated at tol."""
     coeffs = certify.canonical_coefficients(h)
@@ -195,7 +193,7 @@ def extremal_coefficients(h, tol: float = RELATION_TOL) -> tuple[float, complex,
     return coeffs.u, coeffs.y, coeffs.z, coeffs.t
 
 
-def params_from_choi(h, tol: float = RELATION_TOL) -> ExtremalParams:
+def params_from_choi(h, tol: float = linalg.TOL) -> ExtremalParams:
     """Recover the parameter set of a validated canonical extremal matrix."""
     u, y, z, t = extremal_coefficients(h, tol)
     principal = derived_t(u, y, z, "+")

@@ -1,7 +1,8 @@
 """Dense complex linear algebra for the 2x2 and 4x4 matrices used everywhere.
 
 All functions are pure; matrices are numpy complex arrays validated (shape,
-finiteness) on entry, so NaN/Inf never propagates into a verdict.
+finiteness) on entry, so NaN/Inf never propagates into a verdict.  TOL is
+the one default tolerance; scaled_tol makes it relative to a matrix's scale.
 """
 
 from __future__ import annotations
@@ -11,11 +12,7 @@ import numpy as np
 from .certificate import FAIL, PASS, Certificate
 from .errors import NonFiniteEntryError, NotHermitianError, NotUnitVectorError
 
-HERMITIAN_TOL = 1e-10
-UNITARY_TOL = 1e-10
-PSD_TOL = 1e-10
-RANK_REL_TOL = 1e-9
-UNIT_VECTOR_TOL = 1e-12
+TOL = 1e-10
 
 
 def as_matrix(m, size: int | None = None) -> np.ndarray:
@@ -43,7 +40,14 @@ def as_vector(v, size: int = 2) -> np.ndarray:
 def maxabs(m) -> float:
     """Entrywise max-modulus norm."""
     arr = np.asarray(m)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.abs(arr).max()) if arr.size else 0.0
+
+
+def scaled_tol(m, tol: float, degree=1):
+    """tol * max|m|**degree, the bound for a quantity of that degree in the
+    entries of m, so its verdict does not depend on m's scale (degree may be
+    an array, giving one bound per quantity)."""
+    return tol * maxabs(m) ** degree
 
 
 def hermitian_residual(m) -> float:
@@ -51,11 +55,12 @@ def hermitian_residual(m) -> float:
     return maxabs(arr - arr.conj().T)
 
 
-def require_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
-    """Return the symmetrized matrix, or raise if the residual exceeds tol."""
+def require_hermitian(m: np.ndarray) -> np.ndarray:
+    """Symmetrized matrix, or raise if the residual exceeds scaled_tol(m, TOL)."""
     resid = hermitian_residual(m)
-    if resid > tol:
-        raise NotHermitianError(f"hermiticity residual {resid:.3e} exceeds tol {tol:.3e}")
+    bound = scaled_tol(m, TOL)
+    if resid > bound:
+        raise NotHermitianError(f"hermiticity residual {resid:.3e} exceeds tol {bound:.3e}")
     return 0.5 * (m + m.conj().T)
 
 
@@ -65,7 +70,7 @@ def unitarity_residual(m) -> float:
     return max(maxabs(arr.conj().T @ arr - eye), maxabs(arr @ arr.conj().T - eye))
 
 
-def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(m, tol: float = TOL) -> bool:
     return unitarity_residual(as_matrix(m)) <= tol
 
 
@@ -77,33 +82,29 @@ def principal_sqrt(w) -> complex:
     return complex(np.sqrt(np.complex128(w)))
 
 
-def psd_check(m, tol: float = PSD_TOL) -> Certificate:
+def psd_check(m, tol: float = TOL) -> Certificate:
     """Certify positive semidefiniteness of a Hermitian matrix.
 
-    PASS iff the smallest eigenvalue is >= -tol.  The margin is that
-    eigenvalue; on FAIL the witness is a unit eigenvector w with
-    <w, m w> equal to it.  Raises NotHermitianError if the hermiticity
-    residual exceeds HERMITIAN_TOL, whatever tol is.
+    PASS iff the smallest eigenvalue is >= -tol * max|m|, so alpha * m gets
+    the verdict of m.  The margin is that eigenvalue; on FAIL the witness is
+    a unit eigenvector w with <w, m w> equal to it.  Raises NotHermitianError
+    if require_hermitian does, whatever tol is.
     """
-    arr = require_hermitian(as_matrix(m), HERMITIAN_TOL)
+    arr = require_hermitian(as_matrix(m))
     w, vecs = np.linalg.eigh(arr)
     lam = float(w[0])
-    if lam >= -tol:
+    if lam >= -scaled_tol(arr, tol):
         return Certificate(PASS, lam, detail="lambda_min")
     return Certificate(FAIL, lam, witness=vecs[:, 0].copy(), detail="lambda_min")
 
 
-def rank_estimate(m, tol: float = RANK_REL_TOL) -> int:
+def rank_estimate(m, tol: float = TOL) -> int:
     """Number of singular values above tol * sigma_max."""
-    arr = as_matrix(m)
-    sv = np.linalg.svd(arr, compute_uv=False)
-    top = float(sv[0]) if sv.size else 0.0
-    if top == 0.0:
-        return 0
-    return int(np.sum(sv > tol * top))
+    sv = np.linalg.svd(as_matrix(m), compute_uv=False)
+    return int(np.sum(sv > tol * sv[0])) if sv.size else 0
 
 
-def complete_to_unitary(v, position: str = "second", tol: float = UNIT_VECTOR_TOL) -> np.ndarray:
+def complete_to_unitary(v, position: str = "second", tol: float = TOL) -> np.ndarray:
     """Extend a unit vector in C^2 to a unitary holding v in the given column.
 
     For v = (v1, v2) the complement column is (-conj(v2), conj(v1)), rephased

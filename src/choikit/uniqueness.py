@@ -22,9 +22,7 @@ from . import certify, extremal, linalg
 from .certificate import Certificate, from_margins
 from .errors import EpsilonTooLargeError, InvalidParamsError
 
-HYPOTHESIS_TOL = 1e-8
 FEASIBILITY_TOL = 1e-9
-DEGENERATE_TOL = 1e-9
 _GRID_CAP = 7
 _CHUNK = 1 << 13
 _ALTERNATES_CAP = 32
@@ -144,7 +142,7 @@ def split_matrices(h, cand: SplitCandidate) -> tuple[np.ndarray, np.ndarray]:
     return _parts(*_extremal_data(h), cand)
 
 
-def canonical_split(h, floor: float = HYPOTHESIS_TOL) -> SplitCandidate:
+def canonical_split(h, floor: float = linalg.TOL) -> SplitCandidate:
     """Closed-form split where it exists, or the natural boundary split.
 
     Away from the boundary this is the unique feasible candidate.  At the
@@ -206,7 +204,7 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples!r}")
     u, y, z, t = _extremal_data(h)
-    canon = _canonical(u, y, z, t, HYPOTHESIS_TOL)
+    canon = _canonical(u, y, z, t, linalg.TOL)
     cvec = canon.vector()
     lo, hi = _structural_box(u, t)
     boxes = ((lo, hi), (np.maximum(lo, cvec - radius), np.minimum(hi, cvec + radius)))
@@ -271,7 +269,7 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
     )
 
 
-def epsilon_family(h, eps: float, tol: float = linalg.PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
+def epsilon_family(h, eps: float, tol: float = linalg.TOL) -> tuple[np.ndarray, np.ndarray]:
     """Shift weight eps off the second diagonal entry into a separate part.
 
     Only the boundary instances (u = 0, y = 0, or z = 0) admit this family;
@@ -282,11 +280,11 @@ def epsilon_family(h, eps: float, tol: float = linalg.PSD_TOL) -> tuple[np.ndarr
     u, y, z, _ = _extremal_data(harr)
     if not np.isfinite(eps) or eps <= 0.0:
         raise InvalidParamsError(f"eps must be positive, got {eps!r}")
-    if u <= DEGENERATE_TOL:
+    if u <= linalg.TOL:
         required = ("cp", "ccp")
-    elif abs(y) <= DEGENERATE_TOL:
+    elif abs(y) <= linalg.TOL:
         required = ("ccp",)
-    elif abs(z) <= DEGENERATE_TOL:
+    elif abs(z) <= linalg.TOL:
         required = ("cp",)
     else:
         raise InvalidParamsError("the split of this matrix is unique; no shift family exists")

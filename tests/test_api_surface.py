@@ -85,6 +85,11 @@ def test_every_module_level_function_is_referenced():
     assert unused == []
 
 
+def test_the_only_tolerance_constants_are_the_default_and_the_scan_tolerance():
+    tolerances = {(module, name) for module, name in _module_constants() if name.endswith("TOL")}
+    assert tolerances == {("linalg", "TOL"), ("uniqueness", "FEASIBILITY_TOL")}
+
+
 def test_every_module_level_constant_is_read():
     referenced = _referenced_names()
     unused = sorted(f"{module}.{name}" for module, name in _module_constants()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import choikit as ck
@@ -53,6 +53,18 @@ def gapped_extremal(rng) -> tuple[np.ndarray, float]:
 def transpose_conjugation_choi(rng) -> np.ndarray:
     v = haar_unitary(rng)
     return ck.choi_from_action(lambda a: v @ a.T @ v.conj().T)
+
+
+CANONICAL_KINDS = ("psd", "psd_z", "generic", "boundary")
+SCALED = given(st.integers(0, 2**32 - 1), st.floats(-12.0, 12.0))
+
+
+def clear_verdict(check, h) -> str:
+    """The verdict of check on h, for an h outside the tolerance band: one
+    whose verdict is the same at tol 1e-14 and at tol 1e-6."""
+    verdict = check(h).verdict
+    assume(check(h, tol=1e-14).verdict == verdict == check(h, tol=1e-6).verdict)
+    return verdict
 
 
 BLOCK_INPUTS = {
@@ -143,6 +155,27 @@ class TestBlockPositive:
         assert ck.block_positive(moved).margin == \
             pytest.approx(ck.block_positive(h).margin, abs=1e-12)
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @SCALED
+    def test_verdict_does_not_depend_on_the_scale(self, seed, exponent):
+        h, _ = gapped_extremal(np.random.default_rng(seed))
+        verdict = clear_verdict(ck.block_positive, h)
+        assert ck.block_positive(10.0 ** exponent * h).verdict == verdict
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @SCALED
+    def test_verdict_and_margin_are_unchanged_under_partial_transpose(self, seed, exponent):
+        # local unitaries keep the exact minimum -gap; the conjugated matrix
+        # is Hermitian only up to rounding
+        rng = np.random.default_rng(seed)
+        h, gap = gapped_extremal(rng)
+        assume(abs(gap) > 1e-6)
+        h = 10.0 ** exponent * ck.conjugate(h, haar_unitary(rng), haar_unitary(rng))
+        cert = ck.block_positive(h)
+        moved = ck.block_positive(ck.partial_transpose(h))
+        assert cert.verdict == moved.verdict == ("PASS" if gap < 0.0 else "FAIL")
+        assert moved.margin == pytest.approx(cert.margin, abs=1e-12 * np.max(np.abs(h)))
+
 
 class TestCpCcp:
     def test_cp_degenerate_matrix_passes(self):
@@ -175,6 +208,14 @@ class TestCpCcp:
             rhs = ck.cp_check(ck.partial_transpose(m))
             assert lhs.verdict == rhs.verdict
             assert lhs.margin == rhs.margin
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @SCALED
+    def test_verdicts_do_not_depend_on_the_scale(self, seed, exponent):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng) if seed % 2 else random_mixture(rng)
+        for check in (ck.cp_check, ck.ccp_check):
+            assert check(10.0 ** exponent * h).verdict == clear_verdict(check, h), check
 
 
 class TestFaceMembership:
@@ -237,6 +278,13 @@ class TestCanonicalConditions:
             assert ck.canonical_ccp_conditions(h, tol=1e-9).passed == \
                 ck.ccp_check(h, tol=1e-9).passed
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @SCALED
+    def test_verdicts_do_not_depend_on_the_scale(self, seed, exponent):
+        h = random_canonical_matrix(np.random.default_rng(seed), CANONICAL_KINDS[seed % 4])
+        for check in (ck.canonical_cp_conditions, ck.canonical_ccp_conditions):
+            assert check(10.0 ** exponent * h).verdict == clear_verdict(check, h), check
+
 
 class TestFaceFormInequalities:
     def test_example_instance_saturates_the_split_inequality(self):
@@ -264,3 +312,10 @@ class TestFaceFormInequalities:
             h = ck.build_extremal(ck.random_params(rng))
             a, _, u, _, y, z, _ = ck.canonical_coefficients(h)
             assert a * u - (abs(y) + abs(z)) ** 2 == pytest.approx(0.0, abs=1e-10)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @SCALED
+    def test_verdict_does_not_depend_on_the_scale(self, seed, exponent):
+        h = random_canonical_matrix(np.random.default_rng(seed), CANONICAL_KINDS[seed % 4])
+        verdict = clear_verdict(ck.face_form_inequalities, h)
+        assert ck.face_form_inequalities(10.0 ** exponent * h).verdict == verdict

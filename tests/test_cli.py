@@ -8,6 +8,11 @@ import pytest
 import choikit as ck
 from choikit import cli, io
 
+from conftest import random_canonical_matrix
+
+
+BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+
 
 def run_cli(*args, stdin_text=None):
     return subprocess.run(
@@ -257,3 +262,22 @@ class TestInProcess:
         assert cli.main(argv) == 0
         assert strip_timing(capsys.readouterr().out) == strip_timing(fresh.stdout)
         assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("matrix, code", [
+        (1e6 * np.outer(BELL, BELL), 0),  # |Phi+><Phi+| is CP; its margin is rounding
+        (-1e-12 * np.eye(4), 1),
+    ])
+    def test_cp_verdict_does_not_depend_on_the_scale(self, tmp_path, capsys, matrix, code):
+        path = tmp_path / "m.json"
+        write_matrix(path, matrix)
+        assert cli.main(["certify", str(path), "--cp"]) == code
+        cert = json.loads(capsys.readouterr().out)["results"]["checks"]["cp"]
+        assert cert["verdict"] == ("PASS" if code == 0 else "FAIL")
+
+    def test_canonical_cp_accepts_a_scaled_psd_input(self, tmp_path, capsys):
+        # G G* is Hermitian only up to rounding, and that rounding grows with
+        # the scale; the hermiticity threshold grows with it
+        path = tmp_path / "m.json"
+        write_matrix(path, 1e6 * random_canonical_matrix(np.random.default_rng(1), "psd"))
+        assert cli.main(["certify", str(path), "--canonical-cp"]) == 0
+        assert "PASS" in capsys.readouterr().out

@@ -6,7 +6,8 @@ import pytest
 
 import choikit as ck
 from choikit import io, uniqueness
-from choikit.errors import EpsilonTooLargeError, InvalidParamsError, NotExtremalError
+from choikit.errors import (EpsilonTooLargeError, HypothesisViolatedError, InvalidParamsError,
+                            NotExtremalError)
 
 
 def candidate_from_cp_part(h1: np.ndarray) -> ck.SplitCandidate:
@@ -244,6 +245,26 @@ class TestEpsilonFamily:
     def test_non_positive_eps_rejected(self):
         with pytest.raises(InvalidParamsError):
             ck.epsilon_family(ck.degenerate_case("u_zero"), 0.0)
+
+    @pytest.mark.parametrize("y, unique", [(5e-9, True), (5e-11, False)])
+    def test_split_decomposition_and_family_share_one_floor(self, y, unique):
+        # |y| = 5e-9 is above the floor: the closed-form split is feasible,
+        # decompose_extremal builds it and no shift family exists.  5e-11 is
+        # below it: all three treat the input as y = 0, whose split (all
+        # weight in the co-CP part) is feasible to within 4e-11.
+        h = ck.build_extremal(ck.ExtremalParams(u=0.25, y=y, z=0.5 - y))
+        cand = ck.canonical_split(h)
+        assert ck.feasibility(h, cand).passed
+        assert (cand.a1 > 0.0) == unique
+        if unique:
+            assert ck.verify_decomposition(h, ck.decompose_extremal(h)).passed
+            with pytest.raises(InvalidParamsError, match="unique"):
+                ck.epsilon_family(h, 1e-3)
+        else:
+            with pytest.raises(HypothesisViolatedError, match=r"\|y\|"):
+                ck.decompose_extremal(h)
+            remainder, _ = ck.epsilon_family(h, 1e-3)
+            assert ck.ccp_check(remainder).passed
 
 
 class TestReportShape:
