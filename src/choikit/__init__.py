@@ -32,8 +32,11 @@ from .choi import (
 )
 from .decompose import (
     DecompositionPair,
+    SplitCandidate,
+    canonical_split,
     decompose_extremal,
     kraus_operators,
+    split_matrices,
     verify_decomposition,
 )
 from .errors import (
@@ -60,15 +63,7 @@ from .extremal import (
     validate_extremal,
 )
 from .linalg import complete_to_unitary, psd_check, rank_estimate
-from .uniqueness import (
-    FeasibilityReport,
-    SplitCandidate,
-    canonical_split,
-    epsilon_family,
-    feasibility,
-    split_matrices,
-    uniqueness_search,
-)
+from .uniqueness import FeasibilityReport, epsilon_family, feasibility, uniqueness_search
 
 __all__ = [
     "Certificate", "PASS", "FAIL",

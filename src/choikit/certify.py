@@ -75,7 +75,7 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
     >= -tol * max|h|; on FAIL the witness is the direction minimising the
     determinant at the final m, and its compressed 2x2 matrix.
     """
-    harr = linalg.require_hermitian(linalg.as_matrix(h, 4))
+    harr, scale = linalg.require_hermitian(linalg.as_matrix(h, 4))
     r = np.einsum("aji,blk,ikjl->ab", _PAULI, _PAULI, harr.reshape(2, 2, 2, 2)).real
     p, q, pm = r[0, 1:], r[1:, 0], r[1:, 1:]
     alpha, basis = np.linalg.eigh(np.outer(p, p) - pm.T @ pm)
@@ -90,7 +90,7 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
         margin = lowest
 
     detail = "min lambda_min over directions"
-    if margin >= -linalg.scaled_tol(harr, tol):
+    if margin >= -tol * scale:
         return Certificate(PASS, margin, detail=detail)
     theta, phi = np.arctan2(np.hypot(bloch[0], bloch[1]), bloch[2]), np.arctan2(bloch[1], bloch[0])
     vec = np.array([np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)])
@@ -138,11 +138,11 @@ def canonical_coefficients(h) -> CanonicalCoefficients:
 
     Raises NotHermitianError if linalg.require_hermitian does, and
     NotCanonicalFormError if any fixed zero position is violated beyond
-    linalg.scaled_tol(h, linalg.TOL).
+    linalg.TOL * max|h|.
     """
-    hs = linalg.require_hermitian(linalg.as_matrix(h, 4))
+    hs, scale = linalg.require_hermitian(linalg.as_matrix(h, 4))
     off = max(abs(hs[0, 2]), abs(hs[2, 2]), abs(hs[2, 3]))
-    bound = linalg.scaled_tol(hs, linalg.TOL)
+    bound = linalg.TOL * scale
     if off > bound:
         raise NotCanonicalFormError(f"off-pattern residual {off:.3e} exceeds tol {bound:.3e}")
     return CanonicalCoefficients(

@@ -19,9 +19,20 @@ from . import __version__, certify, decompose, extremal, io, uniqueness
 from .errors import ChoiKitError
 
 
+def _tolerance(text: str) -> float:
+    """--tol's type: a finite float >= 0 (inf, nan or < 0 would fix every verdict)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override the default tolerance, relative to the largest entry")
+    parser.add_argument("--tol", type=_tolerance, default=None,
+                        help="override the default tolerance (finite, >= 0, relative to max|H|)")
     parser.add_argument("--seed", type=int, default=0, help="random seed where applicable")
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine-readable output (default)")

@@ -1,6 +1,6 @@
-"""Closed-form split of a canonical extremal map into a completely positive
-part plus a completely copositive part, with the rank-one factor operators
-realizing each part."""
+"""The paper's construction: the closed-form CP + co-CP split of a canonical
+extremal map, its rank-one factor operators, and the one floor (_boundary) on
+u, |y|, |z| that marks a boundary instance.  uniqueness scans around it."""
 
 from __future__ import annotations
 
@@ -8,9 +8,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import certify, choi, extremal, linalg, uniqueness
+from . import certify, choi, extremal, linalg
 from .certificate import FAIL, Certificate, from_margins
 from .errors import HypothesisViolatedError
+
+
+@dataclass(frozen=True)
+class SplitCandidate:
+    """Free coefficients of a structured two-part split."""
+
+    a1: float
+    b1: float
+    u1: float
+    t1: complex
+    c: complex
+
+    def vector(self) -> np.ndarray:
+        return np.array([self.a1, self.b1, self.u1,
+                         self.t1.real, self.t1.imag, self.c.real, self.c.imag])
+
+    @staticmethod
+    def from_vector(vec) -> "SplitCandidate":
+        a1, b1, u1, tr, ti, cr, ci = (float(x) for x in np.asarray(vec).reshape(7))
+        return SplitCandidate(a1, b1, u1, complex(tr, ti), complex(cr, ci))
+
+    def complement(self, u: float, t: complex) -> tuple[float, float, float, complex]:
+        """Derived coefficients (a2, b2, u2, t2) of the second part."""
+        return 1.0 - self.a1, (1.0 - u) - self.b1, u - self.u1, t - self.t1
 
 
 @dataclass(frozen=True)
@@ -30,14 +54,69 @@ class DecompositionPair:
     z1: complex
 
 
-def _require_hypotheses(u: float, y: complex, z: complex, tol: float) -> None:
+def _boundary(u: float, y: complex, z: complex, floor: float) -> tuple[str, float] | None:
+    """(name, value) of the first of u, |y|, |z| at or below floor, else None."""
     for name, value in (("u", u), ("|y|", abs(y)), ("|z|", abs(z))):
-        if value <= tol:
-            raise HypothesisViolatedError(f"{name} = {value:.3e} is below the floor {tol:.3e}")
+        if value <= floor:
+            return name, value
+    return None
 
 
-def _split_roots(u: float, y: complex, t: complex) -> tuple[complex, complex]:
-    """Square roots (y1, z1) with y1^2 = y, z1^2 = z pinned by t.
+def _canonical(u: float, y: complex, z: complex, t: complex, floor: float) -> SplitCandidate:
+    """The closed-form split, or at a boundary instance the natural boundary one."""
+    edge = _boundary(u, y, z, floor)
+    if edge is None:
+        ru = float(np.sqrt(u))
+        return SplitCandidate(
+            a1=abs(y) / ru,
+            b1=abs(z) * (1.0 - u) / ru,
+            u1=abs(y) * ru,
+            t1=0.5 * t,
+            c=complex(-z * t / (2.0 * abs(z) * ru)),
+        )
+    if edge[0] == "u":
+        return SplitCandidate(a1=1.0, b1=1.0 - u, u1=0.0, t1=0.0, c=0.0)
+    if edge[0] == "|y|":
+        return SplitCandidate(a1=0.0, b1=0.0, u1=0.0, t1=0.0, c=0.0)
+    return SplitCandidate(a1=1.0, b1=1.0 - u, u1=u, t1=complex(t), c=0.0)
+
+
+def _parts(u: float, y: complex, z: complex, t: complex,
+           cand: SplitCandidate) -> tuple[np.ndarray, np.ndarray]:
+    """The two structured parts of a candidate, the second from the totals."""
+    a2, b2, u2, t2 = cand.complement(u, t)
+    h1 = np.array([
+        [cand.a1, cand.c, 0.0, y],
+        [np.conj(cand.c), cand.b1, 0.0, cand.t1],
+        [0.0, 0.0, 0.0, 0.0],
+        [np.conj(y), np.conj(cand.t1), 0.0, cand.u1],
+    ], dtype=np.complex128)
+    h2 = np.array([
+        [a2, -cand.c, 0.0, 0.0],
+        [-np.conj(cand.c), b2, np.conj(z), t2],
+        [0.0, z, 0.0, 0.0],
+        [0.0, np.conj(t2), 0.0, u2],
+    ], dtype=np.complex128)
+    return h1, h2
+
+
+def canonical_split(h, floor: float = linalg.TOL) -> SplitCandidate:
+    """Closed-form split where it exists, or the natural boundary split.
+
+    Away from the boundary this is the unique feasible candidate.  At the
+    boundary instances: a CP input keeps all weight in the first part, a
+    co-CP input keeps all weight in the second.
+    """
+    return _canonical(*extremal.extremal_coefficients(h), floor)
+
+
+def split_matrices(h, cand: SplitCandidate) -> tuple[np.ndarray, np.ndarray]:
+    """Materialize the two structured parts described by a candidate."""
+    return _parts(*extremal.extremal_coefficients(h), cand)
+
+
+def _factors(u: float, y: complex, t: complex) -> tuple[np.ndarray, np.ndarray, complex, complex]:
+    """Factor operators (k1, k2) and the roots (y1, z1), y1^2 = y, z1^2 = z.
 
     y1 is the principal root of y; z1 then follows from
     t = 2i sqrt(1-u) y1 conj(z1).  Only the simultaneous sign flip
@@ -45,10 +124,6 @@ def _split_roots(u: float, y: complex, t: complex) -> tuple[complex, complex]:
     """
     y1 = linalg.principal_sqrt(y)
     z1 = complex(np.conj(t / (2j * np.sqrt(1.0 - u) * y1)))
-    return complex(y1), z1
-
-
-def _factors(u: float, y1: complex, z1: complex) -> tuple[np.ndarray, np.ndarray]:
     uq = float(u) ** 0.25
     s = float(np.sqrt(max(1.0 - u, 0.0)))
     k1 = np.array([
@@ -59,7 +134,7 @@ def _factors(u: float, y1: complex, z1: complex) -> tuple[np.ndarray, np.ndarray
         [z1 / uq, 0.0],
         [-1j * np.conj(y1) * s / uq, np.conj(z1) * uq],
     ], dtype=np.complex128)
-    return k1, k2
+    return k1, k2, y1, z1
 
 
 def decompose_extremal(h, tol: float = linalg.TOL) -> DecompositionPair:
@@ -71,26 +146,24 @@ def decompose_extremal(h, tol: float = linalg.TOL) -> DecompositionPair:
     rank one after the appropriate partial transpose.
     """
     u, y, z, t = extremal.extremal_coefficients(h)
-    _require_hypotheses(u, y, z, tol)
-    cand = uniqueness._canonical(u, y, z, t, tol)
-    h1, h2 = uniqueness._parts(u, y, z, t, cand)
-    y1, z1 = _split_roots(u, y, t)
-    k1, k2 = _factors(u, y1, z1)
+    edge = _boundary(u, y, z, tol)
+    if edge is not None:
+        raise HypothesisViolatedError(f"{edge[0]} = {edge[1]:.3e} is below the floor {tol:.3e}")
+    cand = _canonical(u, y, z, t, tol)
+    h1, h2 = _parts(u, y, z, t, cand)
+    k1, k2, y1, z1 = _factors(u, y, t)
     return DecompositionPair(h1=h1, h2=h2, k1=k1, k2=k2, c=cand.c, y1=y1, z1=z1)
 
 
 def kraus_operators(params: extremal.ExtremalParams,
                     tol: float = linalg.TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Factor operators (k1, k2) of the split for a parameterized map.
+    """Factor operators (k1, k2) of decompose_extremal(build_extremal(params), tol).
 
     The represented map is A -> k1 A k1* + k2 A^T k2* with
     k1 k1* + k2 k2* equal to the identity.
     """
-    params.validate()
-    u = float(params.u)
-    _require_hypotheses(u, complex(params.y), complex(params.z), tol)
-    y1, z1 = _split_roots(u, complex(params.y), params.t)
-    return _factors(u, y1, z1)
+    pair = decompose_extremal(extremal.build_extremal(params), tol)
+    return pair.k1, pair.k2
 
 
 def verify_decomposition(h, pair: DecompositionPair, tol: float = linalg.TOL) -> Certificate:

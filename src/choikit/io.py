@@ -13,8 +13,8 @@ import numpy as np
 
 from . import linalg
 from .certificate import Certificate
-from .decompose import DecompositionPair
-from .uniqueness import FeasibilityReport, SplitCandidate
+from .decompose import DecompositionPair, SplitCandidate
+from .uniqueness import FeasibilityReport
 
 
 def complex_pair(value) -> list[float]:

@@ -55,13 +55,14 @@ def hermitian_residual(m) -> float:
     return maxabs(arr - arr.conj().T)
 
 
-def require_hermitian(m: np.ndarray) -> np.ndarray:
-    """Symmetrized matrix, or raise if the residual exceeds scaled_tol(m, TOL)."""
+def require_hermitian(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """(Symmetrized m, max|m|), or raise if m - m* exceeds TOL * max|m| anywhere."""
+    scale = maxabs(m)
     resid = hermitian_residual(m)
-    bound = scaled_tol(m, TOL)
+    bound = TOL * scale
     if resid > bound:
         raise NotHermitianError(f"hermiticity residual {resid:.3e} exceeds tol {bound:.3e}")
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().T), scale
 
 
 def unitarity_residual(m) -> float:
@@ -90,10 +91,10 @@ def psd_check(m, tol: float = TOL) -> Certificate:
     a unit eigenvector w with <w, m w> equal to it.  Raises NotHermitianError
     if require_hermitian does, whatever tol is.
     """
-    arr = require_hermitian(as_matrix(m))
+    arr, scale = require_hermitian(as_matrix(m))
     w, vecs = np.linalg.eigh(arr)
     lam = float(w[0])
-    if lam >= -scaled_tol(arr, tol):
+    if lam >= -tol * scale:
         return Certificate(PASS, lam, detail="lambda_min")
     return Certificate(FAIL, lam, witness=vecs[:, 0].copy(), detail="lambda_min")
 

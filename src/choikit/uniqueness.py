@@ -1,16 +1,16 @@
-"""Numerical exploration of how unique the CP + co-CP split is.
-
-A candidate split is parameterized by seven real degrees of freedom
-(a1, b1, u1, t1, c); the complementary coefficients are derived from the
-input matrix totals and never stored.  Feasibility is the conjunction of
-14 constraints: the six diagonal entries, and the canonical minor conditions
-(certify._minors) of the first part and of the second's partial transpose,
-so the first part is CP and the second co-CP.  For inputs with u, |y|, |z|
-all nonzero the feasible set is a single point (the closed-form split); at
-the boundary instances whole families become feasible, which the search
-exhibits.  The search tests CP1 and CcP1, which read only a1 and u1, on
-every candidate first, and the other twelve constraints on the survivors.
-"""
+"""Numerical exploration of how unique the CP + co-CP split is: a scan of
+candidate splits around the one decompose builds, which owns SplitCandidate,
+the closed form and the boundary floor.  A candidate has seven real degrees
+of freedom (a1, b1, u1, t1, c); the complementary coefficients are derived
+from the input matrix totals and never stored.  Feasibility is the
+conjunction of 14 constraints: the six diagonal entries, and the canonical
+minor conditions (certify._minors) of the first part and of the second's
+partial transpose, so the first part is CP and the second co-CP.  For inputs
+with u, |y|, |z| all nonzero the feasible set is a single point (the
+closed-form split); at the boundary instances whole families become
+feasible, which the search exhibits.  The search tests CP1 and CcP1, which
+read only a1 and u1, on every candidate first, and the other twelve
+constraints on the survivors."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import numpy as np
 
 from . import certify, extremal, linalg
 from .certificate import Certificate, from_margins
+from .decompose import SplitCandidate, _boundary, _canonical
 from .errors import EpsilonTooLargeError, InvalidParamsError
 
 FEASIBILITY_TOL = 1e-9
@@ -31,30 +32,6 @@ CONSTRAINT_NAMES = (
     "a1>=0", "b1>=0", "u1>=0", "a2>=0", "b2>=0", "u2>=0",
     "CP1", "CP2", "CP3", "CP4", "CcP1", "CcP2", "CcP3", "CcP4",
 )
-
-
-@dataclass(frozen=True)
-class SplitCandidate:
-    """Free coefficients of a structured two-part split."""
-
-    a1: float
-    b1: float
-    u1: float
-    t1: complex
-    c: complex
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.a1, self.b1, self.u1,
-                         self.t1.real, self.t1.imag, self.c.real, self.c.imag])
-
-    @staticmethod
-    def from_vector(vec) -> "SplitCandidate":
-        a1, b1, u1, tr, ti, cr, ci = (float(x) for x in np.asarray(vec).reshape(7))
-        return SplitCandidate(a1, b1, u1, complex(tr, ti), complex(cr, ci))
-
-    def complement(self, u: float, t: complex) -> tuple[float, float, float, complex]:
-        """Derived coefficients (a2, b2, u2, t2) of the second part."""
-        return 1.0 - self.a1, (1.0 - u) - self.b1, u - self.u1, t - self.t1
 
 
 @dataclass(frozen=True)
@@ -71,46 +48,6 @@ class FeasibilityReport:
     seed: int
     tol: float
     grid_points: int
-
-
-_extremal_data = extremal.extremal_coefficients
-
-
-def _canonical(u: float, y: complex, z: complex, t: complex, floor: float) -> SplitCandidate:
-    """The closed-form split if u, |y| and |z| exceed floor, else a boundary one."""
-    if u > floor and abs(y) > floor and abs(z) > floor:
-        ru = float(np.sqrt(u))
-        return SplitCandidate(
-            a1=abs(y) / ru,
-            b1=abs(z) * (1.0 - u) / ru,
-            u1=abs(y) * ru,
-            t1=0.5 * t,
-            c=complex(-z * t / (2.0 * abs(z) * ru)),
-        )
-    if u <= floor:
-        return SplitCandidate(a1=1.0, b1=1.0 - u, u1=0.0, t1=0.0, c=0.0)
-    if abs(y) <= floor:
-        return SplitCandidate(a1=0.0, b1=0.0, u1=0.0, t1=0.0, c=0.0)
-    return SplitCandidate(a1=1.0, b1=1.0 - u, u1=u, t1=complex(t), c=0.0)
-
-
-def _parts(u: float, y: complex, z: complex, t: complex,
-           cand: SplitCandidate) -> tuple[np.ndarray, np.ndarray]:
-    """The two structured parts of a candidate, the second from the totals."""
-    a2, b2, u2, t2 = cand.complement(u, t)
-    h1 = np.array([
-        [cand.a1, cand.c, 0.0, y],
-        [np.conj(cand.c), cand.b1, 0.0, cand.t1],
-        [0.0, 0.0, 0.0, 0.0],
-        [np.conj(y), np.conj(cand.t1), 0.0, cand.u1],
-    ], dtype=np.complex128)
-    h2 = np.array([
-        [a2, -cand.c, 0.0, 0.0],
-        [-np.conj(cand.c), b2, np.conj(z), t2],
-        [0.0, z, 0.0, 0.0],
-        [0.0, np.conj(t2), 0.0, u2],
-    ], dtype=np.complex128)
-    return h1, h2
 
 
 def _constraint_margins(u: float, y: complex, z: complex, t: complex, vecs: np.ndarray) -> list:
@@ -132,24 +69,9 @@ def _constraint_margins(u: float, y: complex, z: complex, t: complex, vecs: np.n
 
 def feasibility(h, cand: SplitCandidate, tol: float = FEASIBILITY_TOL) -> Certificate:
     """Test every structural and minor constraint of a candidate split."""
-    u, y, z, t = _extremal_data(h)
+    u, y, z, t = extremal.extremal_coefficients(h)
     margins = [m[0] for m in _constraint_margins(u, y, z, t, cand.vector()[None, :])]
     return from_margins(list(zip(CONSTRAINT_NAMES, margins)), tol, "all constraints")
-
-
-def split_matrices(h, cand: SplitCandidate) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize the two structured parts described by a candidate."""
-    return _parts(*_extremal_data(h), cand)
-
-
-def canonical_split(h, floor: float = linalg.TOL) -> SplitCandidate:
-    """Closed-form split where it exists, or the natural boundary split.
-
-    Away from the boundary this is the unique feasible candidate.  At the
-    boundary instances: a CP input keeps all weight in the first part, a
-    co-CP input keeps all weight in the second.
-    """
-    return _canonical(*_extremal_data(h), floor)
 
 
 def _structural_box(u: float, t: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +125,7 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
         raise ValueError(f"radius must be positive, got {radius!r}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples!r}")
-    u, y, z, t = _extremal_data(h)
+    u, y, z, t = extremal.extremal_coefficients(h)
     canon = _canonical(u, y, z, t, linalg.TOL)
     cvec = canon.vector()
     lo, hi = _structural_box(u, t)
@@ -277,17 +199,13 @@ def epsilon_family(h, eps: float, tol: float = linalg.TOL) -> tuple[np.ndarray, 
     class of the input.  Returns (remainder, shift).
     """
     harr = linalg.as_matrix(h, 4)
-    u, y, z, _ = _extremal_data(harr)
+    u, y, z, _ = extremal.extremal_coefficients(harr)
     if not np.isfinite(eps) or eps <= 0.0:
         raise InvalidParamsError(f"eps must be positive, got {eps!r}")
-    if u <= linalg.TOL:
-        required = ("cp", "ccp")
-    elif abs(y) <= linalg.TOL:
-        required = ("ccp",)
-    elif abs(z) <= linalg.TOL:
-        required = ("cp",)
-    else:
+    edge = _boundary(u, y, z, linalg.TOL)
+    if edge is None:
         raise InvalidParamsError("the split of this matrix is unique; no shift family exists")
+    required = {"u": ("cp", "ccp"), "|y|": ("ccp",), "|z|": ("cp",)}[edge[0]]
     shift = np.zeros((4, 4), dtype=np.complex128)
     shift[1, 1] = eps
     remainder = harr - shift

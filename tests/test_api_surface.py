@@ -95,3 +95,28 @@ def test_every_module_level_constant_is_read():
     unused = sorted(f"{module}.{name}" for module, name in _module_constants()
                     if name not in referenced)
     assert unused == []
+
+
+LAYERS = ("errors", "certificate", "linalg", "choi", "certify", "extremal", "decompose",
+          "uniqueness", "io", "cli")
+
+
+def _package_imports(path: Path) -> set[str]:
+    """Names imported relatively by a module: `from .m import x` gives m,
+    `from . import a, b` gives a and b (the package's own names included)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+    return found
+
+
+def test_each_module_imports_only_earlier_layers():
+    # decompose owns the split and uniqueness scans around it, so the paper's
+    # order is the import order; __init__ re-exports and is exempt
+    modules = {path.stem: path for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+    assert set(modules) == set(LAYERS)
+    upward = sorted(f"{name} imports {dep}" for name, path in modules.items()
+                    for dep in _package_imports(path)
+                    if dep in modules and LAYERS.index(dep) >= LAYERS.index(name))
+    assert upward == []

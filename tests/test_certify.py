@@ -217,6 +217,19 @@ class TestCpCcp:
         for check in (ck.cp_check, ck.ccp_check):
             assert check(10.0 ** exponent * h).verdict == clear_verdict(check, h), check
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_margins_and_verdicts_are_unchanged_under_local_unitaries(self, seed):
+        # conjugate is a unitary conjugation of the matrix, and one of its
+        # partial transpose too; the moved matrix is Hermitian up to rounding
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng) if seed % 2 else random_mixture(rng)
+        moved = ck.conjugate(h, haar_unitary(rng), haar_unitary(rng))
+        for check in (ck.cp_check, ck.ccp_check):
+            cert = check(moved)
+            assert cert.margin == pytest.approx(check(h).margin, abs=1e-12 * np.max(np.abs(h)))
+            assert cert.verdict == clear_verdict(check, h), check
+
 
 class TestFaceMembership:
     def test_extremal_form_lies_in_canonical_face(self):

@@ -281,3 +281,27 @@ class TestInProcess:
         write_matrix(path, 1e6 * random_canonical_matrix(np.random.default_rng(1), "psd"))
         assert cli.main(["certify", str(path), "--canonical-cp"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["certify", "{path}"],
+        ["decompose", "{path}"],
+        ["explore", "{path}", "--samples", "0"],
+        ["generate", "--example-s", "0.5"],
+    ], ids=["certify", "decompose", "explore", "generate"])
+    def test_a_tolerance_that_is_not_finite_and_nonnegative_is_a_usage_error(
+            self, tmp_path, capsys, argv, tol):
+        # inf would pass every check on -I, and nan or -1 fail every check on
+        # a valid map: neither says anything about the input
+        path = tmp_path / "m.json"
+        write_matrix(path, ck.example_family(0.5))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([arg.format(path=path) for arg in argv] + ["--tol", tol])
+        assert exc.value.code == 2
+        assert "argument --tol: must be finite and >= 0" in capsys.readouterr().err
+
+    def test_a_zero_tolerance_still_runs(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        write_matrix(path, np.eye(4))
+        assert cli.main(["certify", str(path), "--tol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["tol"] == 0.0

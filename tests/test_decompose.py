@@ -164,6 +164,17 @@ class TestKrausOperators:
         np.testing.assert_allclose(k1, expected1, atol=1e-14)
         np.testing.assert_allclose(k2, expected2, atol=1e-14)
 
+    def test_factors_are_those_of_the_split_byte_for_byte(self):
+        # one params -> factors path: the "-" branch's zero imaginary parts
+        # keep the sign that decompose_extremal gives them
+        rng = np.random.default_rng(3)
+        params = [ck.random_params(rng) for _ in range(200)]
+        params += [ck.ExtremalParams(u=0.25, y=0.25, z=0.25, t_branch=b) for b in "+-"]
+        for p in params:
+            pair = ck.decompose_extremal(ck.build_extremal(p))
+            k1, k2 = ck.kraus_operators(p)
+            assert (k1.tobytes(), k2.tobytes()) == (pair.k1.tobytes(), pair.k2.tobytes()), p
+
     def test_operator_sum_is_identity(self, sweep):
         for _, _, pair in sweep:
             total = pair.k1 @ pair.k1.conj().T + pair.k2 @ pair.k2.conj().T

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import choikit as ck
-from choikit import io, uniqueness
+from choikit import extremal, io, uniqueness
 from choikit.errors import (EpsilonTooLargeError, HypothesisViolatedError, InvalidParamsError,
                             NotExtremalError)
 
@@ -21,7 +21,7 @@ def brute_force_feasible(h, radius=0.2, resolution=1e-2, samples=0, seed=0,
                          tol=uniqueness.FEASIBILITY_TOL):
     """The canonical vector and every feasible point a scan should find: both
     full grids and all seeded samples, masked on all 14 constraint columns."""
-    u, y, z, t = uniqueness._extremal_data(h)
+    u, y, z, t = extremal.extremal_coefficients(h)
     cvec = ck.canonical_split(h).vector()
     lo, hi = uniqueness._structural_box(u, t)
     boxes = [(lo, hi), (np.maximum(lo, cvec - radius), np.minimum(hi, cvec + radius))]
@@ -246,25 +246,30 @@ class TestEpsilonFamily:
         with pytest.raises(InvalidParamsError):
             ck.epsilon_family(ck.degenerate_case("u_zero"), 0.0)
 
-    @pytest.mark.parametrize("y, unique", [(5e-9, True), (5e-11, False)])
-    def test_split_decomposition_and_family_share_one_floor(self, y, unique):
-        # |y| = 5e-9 is above the floor: the closed-form split is feasible,
-        # decompose_extremal builds it and no shift family exists.  5e-11 is
-        # below it: all three treat the input as y = 0, whose split (all
-        # weight in the co-CP part) is feasible to within 4e-11.
-        h = ck.build_extremal(ck.ExtremalParams(u=0.25, y=y, z=0.5 - y))
+    @pytest.mark.parametrize("side, small, unique", [
+        ("y", 5e-9, True), ("y", 5e-11, False), ("z", 5e-9, True), ("z", 5e-11, False),
+    ], ids=["5e-09-True", "5e-11-False", "z-5e-09-True", "z-5e-11-False"])
+    def test_split_decomposition_and_family_share_one_floor(self, side, small, unique):
+        # |y| or |z| = 5e-9 is above the floor: the closed-form split is
+        # feasible, decompose_extremal builds it and no shift family exists.
+        # 5e-11 is below it: all three treat the input as y = 0 (or z = 0),
+        # whose split (all weight in the co-CP part, or in the CP part) is
+        # feasible to within 4e-11.
+        y, z = (small, 0.5 - small) if side == "y" else (0.5 - small, small)
+        h = ck.build_extremal(ck.ExtremalParams(u=0.25, y=y, z=z))
         cand = ck.canonical_split(h)
         assert ck.feasibility(h, cand).passed
-        assert (cand.a1 > 0.0) == unique
+        assert (0.0 < cand.a1 < 1.0) == unique
         if unique:
             assert ck.verify_decomposition(h, ck.decompose_extremal(h)).passed
             with pytest.raises(InvalidParamsError, match="unique"):
                 ck.epsilon_family(h, 1e-3)
         else:
-            with pytest.raises(HypothesisViolatedError, match=r"\|y\|"):
+            with pytest.raises(HypothesisViolatedError, match=rf"\|{side}\|"):
                 ck.decompose_extremal(h)
             remainder, _ = ck.epsilon_family(h, 1e-3)
-            assert ck.ccp_check(remainder).passed
+            check = ck.ccp_check if side == "y" else ck.cp_check
+            assert check(remainder).passed
 
 
 class TestReportShape:
@@ -280,7 +285,7 @@ class TestReportShape:
         h = ck.example_family(0.5)
         cand = ck.canonical_split(h)
         margins = uniqueness._constraint_margins(
-            *uniqueness._extremal_data(h), cand.vector()[None, :])
+            *extremal.extremal_coefficients(h), cand.vector()[None, :])
         assert len(margins) == len(uniqueness.CONSTRAINT_NAMES)
         assert all(m.shape == (1,) for m in margins)
 
@@ -327,7 +332,7 @@ class TestScanAgainstBruteForce:
         rounded = list(self._inputs())[-2:]
         for (name, h), constraint in zip(rounded, ("CcP1", "CP1")):
             _, feasible = brute_force_feasible(h, samples=20_000, seed=4)
-            margins = uniqueness._constraint_margins(*uniqueness._extremal_data(h), feasible)
+            margins = uniqueness._constraint_margins(*extremal.extremal_coefficients(h), feasible)
             column = margins[uniqueness.CONSTRAINT_NAMES.index(constraint)]
             assert len(feasible) > 1 and np.min(column) < 0.0, name
 
