@@ -56,6 +56,8 @@ class DecompositionPair:
 
 def _boundary(u: float, y: complex, z: complex, floor: float) -> tuple[str, float] | None:
     """(name, value) of the first of u, |y|, |z| at or below floor, else None."""
+    if not np.isfinite(floor) or floor < 0.0:
+        raise ValueError(f"floor must be finite and nonnegative, got {floor!r}")
     for name, value in (("u", u), ("|y|", abs(y)), ("|z|", abs(z))):
         if value <= floor:
             return name, value

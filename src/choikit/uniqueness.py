@@ -9,8 +9,8 @@ partial transpose, so the first part is CP and the second co-CP.  For inputs
 with u, |y|, |z| all nonzero the feasible set is a single point (the
 closed-form split); at the boundary instances whole families become
 feasible, which the search exhibits.  The search tests CP1 and CcP1, which
-read only a1 and u1, on every candidate first, and the other twelve
-constraints on the survivors."""
+read only a1 and u1, on every candidate first, then CP3 and CcP3, which read
+a1, b1 and c, on the survivors, and all 14 on what is left."""
 
 from __future__ import annotations
 
@@ -92,6 +92,18 @@ def _axis_points(lo: float, hi: float, resolution: float) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _first_distinct(found: np.ndarray) -> np.ndarray:
+    """Indices of the first of each set of float-equal columns of a (7, n) array:
+    one sort on row 0, then a stable lexsort of only the columns that tie there."""
+    order = np.argsort(found[0])
+    tie = found[0, order[1:]] == found[0, order[:-1]]
+    tied = np.r_[tie, False] | np.r_[False, tie]
+    group = np.sort(order[tied])
+    group = group[np.lexsort(found[::-1, group])]
+    differ = np.any(found[:, group[1:]] != found[:, group[:-1]], axis=0)
+    return np.r_[order[~tied], group[:1], group[1:][differ]]
+
+
 def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
                       samples: int = 1_000_000, seed: int = 0,
                       tol: float = FEASIBILITY_TOL) -> FeasibilityReport:
@@ -104,42 +116,45 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
     min(floor(span / resolution) + 1, 7) points, raised to at least 3 and to
     an odd count; every resolution at or below span / 6 gives the same 7
     points, so the resolution mostly sets the alternates threshold.
-    CP1 and CcP1, which read only a1 and u1, go first: only the (a1, u1)
-    grid pairs and sample rows that pass them meet the other 12 constraints,
-    so memory holds one block of at most 7**5 grid rows or one sample chunk.
-    Samples are drawn as raw uniforms on [0, 1) into one reused 8192 x 7
-    buffer; only the a1 and u1 columns are scaled to the box before the
-    prefilter, and only the surviving rows afterwards.  The scaling is
-    Generator.uniform's own, so the samples are those of
-    default_rng(seed).uniform over each box, whatever the chunk size.
+    CP1 and CcP1 (on a1, u1) go first on the (a1, u1) grid pairs and the
+    samples, then CP3 and CcP3 (on a1, b1, c) on the survivors, and all 14
+    on what is left, so memory holds one block of at most 7**5 grid rows or
+    one sample chunk.  Samples are raw uniforms on [0, 1) in one reused
+    8192 x 7 buffer; each stage scales (Generator.uniform's arithmetic) only
+    the columns it reads of the rows that reach it, so the samples are
+    those of default_rng(seed).uniform over each box at any chunk size.
     Feasible candidates farther than 10 * resolution from the canonical one
     are listed as alternates, farthest first, capped at 32 entries;
     feasible_count and diameter (the exact max-coordinate spread of every
     feasible point found, canonical included) always cover the full set.
     A feasible point within tol of the canonical candidate (max-coordinate
-    distance) counts as that candidate.
+    distance) counts as that candidate; float-equal points count once.
     """
-    if not np.isfinite(resolution) or resolution <= 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution!r}")
-    if not np.isfinite(radius) or radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
+    for name, value in (("resolution", resolution), ("radius", radius)):
+        if not np.isfinite(value) or value <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples!r}")
+    if not np.isfinite(tol) or tol < 0.0:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     u, y, z, t = extremal.extremal_coefficients(h)
     canon = _canonical(u, y, z, t, linalg.TOL)
     cvec = canon.vector()
     lo, hi = _structural_box(u, t)
     boxes = ((lo, hi), (np.maximum(lo, cvec - radius), np.minimum(hi, cvec + radius)))
 
+    # certify._minors' own CP1, CcP1, CP3 and CcP3 expressions, so no feasible row is lost
     def cp1_ccp1(a1: np.ndarray, u1: np.ndarray) -> np.ndarray:
-        # certify._minors' own CP1 and CcP1 expressions, so no feasible row is lost
         return (a1 * u1 - abs(y) ** 2 >= -tol) & ((1.0 - a1) * (u - u1) - abs(z) ** 2 >= -tol)
 
-    def feasible_rows(vecs: np.ndarray) -> np.ndarray:
-        # only for rows whose (a1, u1) already passed cp1_ccp1
-        return vecs[np.logical_and.reduce([m >= -tol for m in _constraint_margins(u, y, z, t, vecs)])]
+    def cp3_ccp3(a1: np.ndarray, b1: np.ndarray, cr: np.ndarray, ci: np.ndarray) -> np.ndarray:
+        c2 = abs(cr + 1j * ci) ** 2
+        return (a1 * b1 - c2 >= -tol) & ((1.0 - a1) * ((1.0 - u) - b1) - c2 >= -tol)
 
-    rows: list[np.ndarray] = [cvec[None, :]]
+    def feasible_of(cols: np.ndarray) -> np.ndarray:
+        return cols[:, np.logical_and.reduce([m >= -tol for m in _constraint_margins(u, y, z, t, cols.T)])]
+
+    kept: list[np.ndarray] = [cvec[:, None]]
     grid_points = 0
     for blo, bhi in boxes:
         axes = [_axis_points(float(a), float(b), resolution) for a, b in zip(blo, bhi)]
@@ -147,40 +162,43 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
         a1, u1 = (m.ravel() for m in np.meshgrid(axes[0], axes[2], indexing="ij"))
         keep = cp1_ccp1(a1, u1)
         for pa, pu in zip(a1[keep], u1[keep]):
-            block = np.meshgrid(pa, axes[1], pu, *axes[3:], indexing="ij")
-            rows.append(feasible_rows(np.stack([m.ravel() for m in block], axis=1)))
+            block = np.stack([m.ravel() for m in np.meshgrid(pa, axes[1], pu, *axes[3:], indexing="ij")])
+            kept.append(feasible_of(block[:, cp3_ccp3(*block[[0, 1, 5, 6]])]))
 
     # blo + span * U is Generator.uniform(blo, bhi)'s own arithmetic, so the
-    # samples are its samples, scaled only where the prefilter passes
+    # samples are its samples, scaled only where a stage needs them
     rng = np.random.default_rng(seed)
     buf = np.empty((_CHUNK, 7))
     for count, (blo, bhi) in zip((samples // 2, samples - samples // 2), boxes):
         span = bhi - blo
         for start in range(0, count, _CHUNK):
             draw = rng.random(out=buf[:min(count - start, _CHUNK)])
-            keep = cp1_ccp1(blo[0] + span[0] * draw[:, 0], blo[2] + span[2] * draw[:, 2])
-            rows.append(feasible_rows(blo + span * draw[keep]))
+            a1 = blo[0] + span[0] * draw[:, 0]
+            idx = np.flatnonzero(cp1_ccp1(a1, blo[2] + span[2] * draw[:, 2]))
+            if idx.size:  # away from u = 0 most chunks end here
+                idx = idx[cp3_ccp3(a1[idx], *(blo[j] + span[j] * draw[:, j][idx] for j in (1, 5, 6)))]
+                kept.append(feasible_of(blo[:, None] + np.multiply(span[:, None], draw[idx].T, order="C")))
 
     # the local grid's centre can land a few ulps off the canonical split
-    found = np.vstack(rows)
-    found[np.max(np.abs(found - cvec[None, :]), axis=1) <= tol] = cvec
-    # distinct rows in lexicographic order, equal as floats (-0.0 == 0.0)
-    found = found[np.lexsort(found.T[::-1])]
-    feasible = found[np.r_[True, np.any(found[1:] != found[:-1], axis=1)]]
-    distances = np.max(np.abs(feasible - cvec[None, :]), axis=1)
-    diameter = float(np.max(np.max(feasible, axis=0) - np.min(feasible, axis=0)))
+    found = np.hstack(kept)
+    distances = np.max(np.abs(found - cvec[:, None]), axis=0)
+    found[:, distances <= tol] = cvec[:, None]
+    distances[distances <= tol] = 0.0
+    first = _first_distinct(found)
+    feasible, distances = found[:, first], distances[first]
+    diameter = float(np.max(np.max(feasible, axis=1) - np.min(feasible, axis=1)))
     far = np.flatnonzero(distances > 10.0 * resolution)
     if len(far) > _ALTERNATES_CAP:  # keep the cap-th largest distance and its ties
         far = far[distances[far] >= np.partition(distances[far], -_ALTERNATES_CAP)[-_ALTERNATES_CAP]]
-    far = far[np.lexsort(np.vstack([feasible[far].T[::-1], -distances[far]]))]
+    far = far[np.lexsort(np.vstack([feasible[::-1, far], -distances[far]]))]
     alternates = tuple(
-        (SplitCandidate.from_vector(feasible[i]), float(distances[i]))
+        (SplitCandidate.from_vector(feasible[:, i]), float(distances[i]))
         for i in far[:_ALTERNATES_CAP]
     )
     return FeasibilityReport(
         canonical=canon,
         alternates=alternates,
-        feasible_count=int(len(feasible)),
+        feasible_count=int(feasible.shape[1]),
         diameter=diameter,
         radius=float(radius),
         resolution=float(resolution),

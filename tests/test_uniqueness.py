@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import choikit as ck
 from choikit import extremal, io, uniqueness
@@ -211,6 +213,9 @@ class TestUniquenessSearch:
             ck.uniqueness_search(h, radius=-1.0)
         with pytest.raises(ValueError):
             ck.uniqueness_search(h, samples=-5)
+        for tol in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                ck.uniqueness_search(h, tol=tol)
 
 
 class TestEpsilonFamily:
@@ -290,6 +295,32 @@ class TestReportShape:
         assert all(m.shape == (1,) for m in margins)
 
 
+@st.composite
+def planted_columns(draw):
+    """A (7, n) array with planted duplicates, ties on row 0 and -0.0/0.0
+    pairs in every row, drawn from a pool of five values."""
+    rows = draw(st.lists(st.lists(st.sampled_from([0.0, 0.25, -0.25, 1.0, -1.0]),
+                                  min_size=7, max_size=7), min_size=1, max_size=12))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=24))]
+    arr = np.array(rows)[draw(st.permutations(range(len(rows))))]
+    flips = np.array(draw(st.lists(st.booleans(), min_size=arr.size, max_size=arr.size)))
+    arr[(arr == 0.0) & flips.reshape(arr.shape)] = -0.0
+    return np.ascontiguousarray(arr.T)
+
+
+class TestFirstDistinct:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(planted_columns())
+    def test_keeps_the_first_of_each_set_of_float_equal_columns(self, found):
+        rows = found.T
+        expected = [i for i in range(len(rows))
+                    if not any(np.array_equal(rows[i], rows[j]) for j in range(i))]
+        first = uniqueness._first_distinct(found)
+        assert sorted(first.tolist()) == expected
+        assert sorted(rows[i].tobytes() for i in first) == sorted(rows[i].tobytes() for i in expected)
+        assert len(first) == len(np.unique(rows, axis=0))
+
+
 class TestScanAgainstBruteForce:
     @staticmethod
     def _inputs():
@@ -336,6 +367,20 @@ class TestScanAgainstBruteForce:
             column = margins[uniqueness.CONSTRAINT_NAMES.index(constraint)]
             assert len(feasible) > 1 and np.min(column) < 0.0, name
 
+    @pytest.mark.parametrize("tol", [uniqueness.FEASIBILITY_TOL, 1e-3])
+    def test_second_stage_needs_the_tolerance(self, tol):
+        # on u_zero every candidate passes CP1 and CcP1.  At the default tol,
+        # 8 grid points pass CP3 and 36 pass CcP3 only at a rounding margin
+        # below 0; at 1e-3 so do 1 and 184 samples.  A CP3/CcP3 prefilter
+        # judging those at 0 would lose them
+        h = ck.degenerate_case("u_zero")
+        _, feasible = brute_force_feasible(h, samples=20_000, seed=4, tol=tol)
+        margins = uniqueness._constraint_margins(*extremal.extremal_coefficients(h), feasible)
+        for constraint in ("CP3", "CcP3"):
+            assert np.min(margins[uniqueness.CONSTRAINT_NAMES.index(constraint)]) < 0.0
+        report = ck.uniqueness_search(h, samples=20_000, seed=4, tol=tol)
+        assert report.feasible_count == len(feasible)
+
     @pytest.mark.parametrize("kind, kwargs, tol", [
         ("u_zero", {}, uniqueness.FEASIBILITY_TOL),   # 27 ties at 5/6, 13 beyond
         ("y_zero", {"z": 0.5}, 0.03),                 # 132 ties at 0.2, 5 beyond
@@ -353,15 +398,18 @@ class TestScanAgainstBruteForce:
 
 
 class TestReportBytes:
-    # SHA-256 of the JSON reports of the README example and two boundary
-    # families: a change to a feasible set, to the order of the alternates
-    # or to a float's bits shows here.  At 1e6 samples every u_zero sample
-    # passes the CP1 and CcP1 prefilter, and ~131 k feasible rows are deduplicated
+    # SHA-256 of the JSON reports of the README example and the three boundary
+    # families: a change to a feasible set, to the order of the alternates,
+    # to which of two float-equal points is kept, or to a float's bits shows
+    # here.  At 1e6 samples every u_zero sample passes CP1 and CcP1, ~13 %
+    # pass CP3 and CcP3, and ~131 k feasible rows are deduplicated
     GOLDEN = (
         ("family", lambda: ck.example_family(0.5), 100_000, 0,
          "230ce776e13c8e02234bc8c7e645dd6508d72758e278d8cde7a3cd3b5cb0a0d1"),
         ("y_zero", lambda: ck.degenerate_case("y_zero", z=0.5), 100_000, 0,
          "379a379af375b737a1f94dd542f05cb53c4a65baf9298d25543cabb8e1106ac2"),
+        ("z_zero", lambda: ck.degenerate_case("z_zero", y=0.5), 100_000, 0,
+         "7ff0c4ee9ba42da872a1cf317034bcb5f0c8d83eaf23be40cf34c158d7d6ff05"),
         ("u_zero", lambda: ck.degenerate_case("u_zero"), 50_000, 8,
          "dd0a313f0aa62f7d31dee79aa883d68a456801328d5c4739e39af0e49007468a"),
         ("u_zero_1e6", lambda: ck.degenerate_case("u_zero"), 1_000_000, 0,
