@@ -15,6 +15,7 @@ whose fixed zero pattern is enforced before coefficients are read off.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -38,21 +39,22 @@ def _sphere_argmin(alpha, gamma):
     along the bottom eigenvector.
     """
     delta = alpha - alpha[0]
-    live = gamma != 0.0  # a zero gamma_i gives x_i = 0, even where delta_i + s = 0
-    s = max(0.0, float(np.max(np.abs(gamma) - delta)))
+    # where gamma_i = 0 the denominator is 1 + s, so x_i = -gamma_i even where delta_i + s = 0
+    shifted, neg = np.where(gamma != 0.0, delta, 1.0), -gamma
+    s = max(0.0, float((np.abs(gamma) - delta).max()))
     for _ in range(_MAX_STEPS):
-        den = np.where(live, delta + s, 1.0)
-        x = -gamma / den
+        den = shifted + s
+        x = neg / den
         norm2 = float(x @ x)
         if not norm2 > 1.0:
             break
-        s_next = s + norm2 * (np.sqrt(norm2) - 1.0) / float(x @ (x / den))
+        s_next = s + norm2 * (math.sqrt(norm2) - 1.0) / float(x @ (x / den))
         if not s_next > s:
             break
         s = s_next
     if s == 0.0:
-        x[0] = np.sqrt(max(0.0, 1.0 - norm2))
-    return x / np.linalg.norm(x)
+        x[0] = math.sqrt(max(0.0, 1.0 - norm2))
+    return x / math.sqrt(x @ x)  # np.linalg.norm's own sqrt(x.dot(x)), one BLAS call
 
 
 def block_positive(h, tol: float = linalg.TOL) -> Certificate:
@@ -81,16 +83,18 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
     alpha, basis = np.linalg.eigh(np.outer(p, p) - pm.T @ pm)
     along_p, fixed = basis.T @ p, basis.T @ (pm.T @ q)
     margin = 0.25 * float(r[0, 0] - np.linalg.norm(p))
+    b = np.ones(4)
     for _ in range(_MAX_STEPS):
-        bloch = basis @ _sphere_argmin(alpha, (r[0, 0] - 4.0 * margin) * along_p - fixed)
-        rb = r @ np.concatenate(([1.0], bloch))
-        lowest = 0.25 * float(rb[0] - np.linalg.norm(rb[1:]))
+        b[1:] = bloch = basis @ _sphere_argmin(alpha, (r[0, 0] - 4.0 * margin) * along_p - fixed)
+        rb = r @ b
+        v = rb[1:]
+        lowest = 0.25 * float(rb[0] - math.sqrt(v @ v))
         if not lowest < margin:
             break
         margin = lowest
 
     detail = "min lambda_min over directions"
-    if margin >= -tol * scale:
+    if margin >= -linalg.tol_bound(tol, scale):
         return Certificate(PASS, margin, detail=detail)
     theta, phi = np.arctan2(np.hypot(bloch[0], bloch[1]), bloch[2]), np.arctan2(bloch[1], bloch[0])
     vec = np.array([np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)])

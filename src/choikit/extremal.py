@@ -168,7 +168,7 @@ def _check_relations(coeffs: certify.CanonicalCoefficients, tol: float) -> Certi
             ("condition2", -min(abs(abs(y) - 1.0) + abs(z), abs(abs(z) - 1.0) + abs(y))),
             ("condition2", -abs(t)),
         ])
-    return from_margins(margins, tol, "all relations")
+    return from_margins(margins, linalg.tol_bound(tol, 1.0), "all relations")
 
 
 def validate_extremal(h, tol: float = linalg.TOL) -> Certificate:

@@ -22,7 +22,7 @@ def as_matrix(m, size: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if size is not None and arr.shape != (size, size):
         raise ValueError(f"expected a {size}x{size} matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise NonFiniteEntryError("matrix contains NaN or Inf entries")
     return arr
 
@@ -32,7 +32,7 @@ def as_vector(v, size: int = 2) -> np.ndarray:
     arr = np.array(v, dtype=np.complex128).reshape(-1)
     if arr.shape != (size,):
         raise ValueError(f"expected a vector of length {size}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise NonFiniteEntryError("vector contains NaN or Inf entries")
     return arr
 
@@ -43,11 +43,18 @@ def maxabs(m) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
+def tol_bound(tol: float, scale: float, degree=1):
+    """tol * scale**degree, the bound for a quantity of that degree in entries
+    of size scale; raises ValueError unless tol is finite and >= 0."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    return tol * scale ** degree
+
+
 def scaled_tol(m, tol: float, degree=1):
-    """tol * max|m|**degree, the bound for a quantity of that degree in the
-    entries of m, so its verdict does not depend on m's scale (degree may be
-    an array, giving one bound per quantity)."""
-    return tol * maxabs(m) ** degree
+    """tol_bound at scale max|m|, so a verdict does not depend on m's scale
+    (degree may be an array, giving one bound per quantity)."""
+    return tol_bound(tol, maxabs(m), degree)
 
 
 def hermitian_residual(m) -> float:
@@ -94,7 +101,7 @@ def psd_check(m, tol: float = TOL) -> Certificate:
     arr, scale = require_hermitian(as_matrix(m))
     w, vecs = np.linalg.eigh(arr)
     lam = float(w[0])
-    if lam >= -tol * scale:
+    if lam >= -tol_bound(tol, scale):
         return Certificate(PASS, lam, detail="lambda_min")
     return Certificate(FAIL, lam, witness=vecs[:, 0].copy(), detail="lambda_min")
 

@@ -71,7 +71,7 @@ def feasibility(h, cand: SplitCandidate, tol: float = FEASIBILITY_TOL) -> Certif
     """Test every structural and minor constraint of a candidate split."""
     u, y, z, t = extremal.extremal_coefficients(h)
     margins = [m[0] for m in _constraint_margins(u, y, z, t, cand.vector()[None, :])]
-    return from_margins(list(zip(CONSTRAINT_NAMES, margins)), tol, "all constraints")
+    return from_margins(list(zip(CONSTRAINT_NAMES, margins)), linalg.tol_bound(tol, 1.0), "all constraints")
 
 
 def _structural_box(u: float, t: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -135,8 +135,7 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
             raise ValueError(f"{name} must be positive, got {value!r}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples!r}")
-    if not np.isfinite(tol) or tol < 0.0:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    linalg.tol_bound(tol, 1.0)  # raises unless tol is finite and >= 0
     u, y, z, t = extremal.extremal_coefficients(h)
     canon = _canonical(u, y, z, t, linalg.TOL)
     cvec = canon.vector()

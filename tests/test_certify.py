@@ -4,7 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import choikit as ck
-from choikit import choi
+from choikit import certify, choi, linalg
+from choikit.certificate import FAIL, PASS, Certificate
 from choikit.errors import NotCanonicalFormError, NotHermitianError
 
 from conftest import (haar_unitary, random_canonical_matrix, random_hermitian, random_mixture,
@@ -176,6 +177,101 @@ class TestBlockPositive:
         assert cert.verdict == moved.verdict == ("PASS" if gap < 0.0 else "FAIL")
         assert moved.margin == pytest.approx(cert.margin, abs=1e-12 * np.max(np.abs(h)))
 
+
+# block_positive as it was before its fast path, kept verbatim as an oracle:
+# the fast path must reproduce it bit for bit.  It runs on the same numpy and
+# BLAS as the library, so the comparison holds on any CPU, where a golden
+# hash would not (OpenBLAS picks its dot kernel, FMA or not, per CPU).
+_REF_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_REF_MAX_STEPS = 100
+
+
+def _reference_sphere_argmin(alpha, gamma):
+    delta = alpha - alpha[0]
+    live = gamma != 0.0  # a zero gamma_i gives x_i = 0, even where delta_i + s = 0
+    s = max(0.0, float(np.max(np.abs(gamma) - delta)))
+    for _ in range(_REF_MAX_STEPS):
+        den = np.where(live, delta + s, 1.0)
+        x = -gamma / den
+        norm2 = float(x @ x)
+        if not norm2 > 1.0:
+            break
+        s_next = s + norm2 * (np.sqrt(norm2) - 1.0) / float(x @ (x / den))
+        if not s_next > s:
+            break
+        s = s_next
+    if s == 0.0:
+        x[0] = np.sqrt(max(0.0, 1.0 - norm2))
+    return x / np.linalg.norm(x)
+
+
+def _reference_block_positive(h, tol=linalg.TOL):
+    harr, scale = linalg.require_hermitian(linalg.as_matrix(h, 4))
+    r = np.einsum("aji,blk,ikjl->ab", _REF_PAULI, _REF_PAULI, harr.reshape(2, 2, 2, 2)).real
+    p, q, pm = r[0, 1:], r[1:, 0], r[1:, 1:]
+    alpha, basis = np.linalg.eigh(np.outer(p, p) - pm.T @ pm)
+    along_p, fixed = basis.T @ p, basis.T @ (pm.T @ q)
+    margin = 0.25 * float(r[0, 0] - np.linalg.norm(p))
+    for _ in range(_REF_MAX_STEPS):
+        bloch = basis @ _reference_sphere_argmin(alpha, (r[0, 0] - 4.0 * margin) * along_p - fixed)
+        rb = r @ np.concatenate(([1.0], bloch))
+        lowest = 0.25 * float(rb[0] - np.linalg.norm(rb[1:]))
+        if not lowest < margin:
+            break
+        margin = lowest
+
+    detail = "min lambda_min over directions"
+    if margin >= -tol * scale:
+        return Certificate(PASS, margin, detail=detail)
+    theta, phi = np.arctan2(np.hypot(bloch[0], bloch[1]), bloch[2]), np.arctan2(bloch[1], bloch[0])
+    vec = np.array([np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)])
+    frame = np.kron(np.eye(2), vec[:, None])
+    return Certificate(FAIL, margin, witness=(vec, frame.conj().T @ harr @ frame), detail=detail)
+
+
+def oracle_corpus() -> list:
+    """Random Hermitian matrices at scales 1e-9..1e9 and their partial
+    transposes, Gram (CP) matrices of rank 1 and 2 and theirs, the example family shifted by
+    +-1e-6 I and scaled by 1e6, the boundary cases, +-I, 0 and a diagonal."""
+    rng = np.random.default_rng(2024)
+    corpus = []
+    for k in range(120):
+        h = random_hermitian(rng) * 10.0 ** rng.uniform(-9.0, 9.0)
+        g = rng.normal(size=(4, 1 + k % 2)) + 1j * rng.normal(size=(4, 1 + k % 2))
+        corpus += [h, choi.partial_transpose(h), g @ g.conj().T, choi.partial_transpose(g @ g.conj().T)]
+    for s in np.linspace(0.05, 0.95, 19):
+        h = ck.example_family(float(s))
+        corpus += [h, h + 1e-6 * np.eye(4), h - 1e-6 * np.eye(4), 1e6 * h]
+    corpus += [ck.degenerate_case("u_zero"), ck.degenerate_case("y_zero", z=0.5),
+               ck.degenerate_case("z_zero", y=0.5)]
+    return corpus + [np.eye(4), -np.eye(4), np.zeros((4, 4)), np.diag([1.0, -2.0, 3.0, 0.5])]
+
+
+class TestBlockPositiveOracle:
+    def test_bits_equal_the_reference_implementation(self, monkeypatch):
+        calls = []
+        argmin = certify._sphere_argmin
+        monkeypatch.setattr(certify, "_sphere_argmin",
+                            lambda alpha, gamma: calls.append((alpha, gamma)) or argmin(alpha, gamma))
+        for h in oracle_corpus():
+            got, want = ck.block_positive(h), _reference_block_positive(h)
+            assert (got.verdict, got.detail) == (want.verdict, want.detail)
+            assert np.float64(got.margin).tobytes() == np.float64(want.margin).tobytes()
+            if want.witness is None:
+                assert got.witness is None
+            else:
+                assert [w.tobytes() for w in got.witness] == [w.tobytes() for w in want.witness]
+        # The start shift is max(0, max(|gamma_i| - delta_i)), and delta >= 0, so a
+        # zero start means gamma_0 = 0 over delta_0 = 0: the dead entry's 0 / 0.
+        # The shift stays 0 (the hard case) iff |x(0)| <= 1, with x_i(0) = 0 there.
+        zero_den = hard = 0
+        for alpha, gamma in calls:
+            delta = alpha - alpha[0]
+            if np.max(np.abs(gamma) - delta) <= 0.0:
+                zero_den += 1
+                live = gamma != 0.0
+                hard += float(np.sum((gamma[live] / delta[live]) ** 2)) <= 1.0
+        assert 0 < hard < zero_den
 
 class TestCpCcp:
     def test_cp_degenerate_matrix_passes(self):

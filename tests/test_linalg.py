@@ -62,6 +62,63 @@ class TestPsdCheck:
             assert ck.psd_check(m).passed == ck.psd_check(rotated, tol=1e-9).passed
 
 
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+class TestFiniteness:
+    # one isfinite over the complex array covers both parts
+    @pytest.mark.parametrize("bad", [complex(v, 0.0) for v in NON_FINITE]
+                             + [complex(0.0, v) for v in NON_FINITE],
+                             ids=[f"{part}-{v}" for part in ("real", "imag") for v in NON_FINITE])
+    def test_a_non_finite_real_or_imaginary_part_is_rejected(self, bad):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(NonFiniteEntryError, match="^matrix contains NaN or Inf entries$"):
+            linalg.as_matrix(m)
+        with pytest.raises(NonFiniteEntryError, match="^vector contains NaN or Inf entries$"):
+            linalg.as_vector([1.0, bad])
+
+
+FAMILY = ck.example_family(0.5)
+# every public check that takes a tol, on an input where a tol that is not
+# finite and >= 0 once gave a verdict (block_positive(-I, inf) PASS,
+# cp_check(I, nan) FAIL, ...)
+TOL_CHECKS = {
+    "psd_check": lambda tol: ck.psd_check(-np.eye(4), tol=tol),
+    "block_positive": lambda tol: ck.block_positive(-np.eye(4), tol=tol),
+    "cp_check": lambda tol: ck.cp_check(np.eye(4), tol=tol),
+    "ccp_check": lambda tol: ck.ccp_check(np.eye(4), tol=tol),
+    "face_membership": lambda tol: ck.face_membership(FAMILY, [1, 0], [0, 1], tol=tol),
+    "canonical_cp_conditions": lambda tol: ck.canonical_cp_conditions(FAMILY, tol=tol),
+    "canonical_ccp_conditions": lambda tol: ck.canonical_ccp_conditions(FAMILY, tol=tol),
+    "face_form_inequalities": lambda tol: ck.face_form_inequalities(FAMILY, tol=tol),
+    "validate_extremal": lambda tol: ck.validate_extremal(FAMILY, tol=tol),
+    "verify_decomposition": lambda tol: ck.verify_decomposition(
+        FAMILY, ck.decompose_extremal(FAMILY), tol=tol),
+    "feasibility": lambda tol: ck.feasibility(FAMILY, ck.canonical_split(FAMILY), tol=tol),
+    "epsilon_family": lambda tol: ck.epsilon_family(ck.degenerate_case("u_zero"), 0.1, tol=tol),
+    "uniqueness_search": lambda tol: ck.uniqueness_search(FAMILY, samples=0, tol=tol),
+    "canonicalize": lambda tol: ck.canonicalize(FAMILY, [0, 1], [1, 0], tol=tol),
+}
+
+
+class TestTolContract:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1.0])
+    @pytest.mark.parametrize("name", sorted(TOL_CHECKS))
+    def test_a_tol_that_is_not_finite_and_nonnegative_raises(self, name, tol):
+        with pytest.raises(ValueError, match="^tol must be finite and nonnegative"):
+            TOL_CHECKS[name](tol)
+
+    @pytest.mark.parametrize("name", sorted(TOL_CHECKS))
+    def test_zero_tol_is_accepted(self, name):
+        TOL_CHECKS[name](0.0)
+
+    def test_tol_bound_is_tol_times_scale_to_the_degree(self):
+        assert linalg.tol_bound(1e-10, 4.0) == 4e-10
+        np.testing.assert_array_equal(linalg.tol_bound(0.5, 2.0, np.array([1, 2, 3])), [1.0, 2.0, 4.0])
+        assert linalg.scaled_tol(-3.0 * np.eye(4), 0.5, 2) == 4.5
+
+
 class TestRankEstimate:
     def test_zero_matrix(self):
         assert ck.rank_estimate(np.zeros((4, 4))) == 0
