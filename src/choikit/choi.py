@@ -61,19 +61,21 @@ def partial_transpose(h) -> np.ndarray:
     return out
 
 
-def conjugate(h, v, w, tol: float = linalg.TOL) -> np.ndarray:
+def conjugate(h, v, w) -> np.ndarray:
     """Choi matrix of A -> V* phi(W A W*) V for unitaries V and W.
 
     This is a unitary conjugation of the flat matrix, so it preserves the
-    PSD verdicts of both the matrix and its partial transpose.
+    PSD verdicts of both the matrix and its partial transpose.  Raises
+    NotUnitaryError if V or W has a unitarity residual above linalg.TOL.
     """
     harr = linalg.as_matrix(h, 4)
     varr = linalg.as_matrix(v, 2)
     warr = linalg.as_matrix(w, 2)
     for name, m in (("V", varr), ("W", warr)):
         resid = linalg.unitarity_residual(m)
-        if resid > tol:
-            raise NotUnitaryError(f"{name} unitarity residual {resid:.3e} exceeds tol {tol:.3e}")
+        if resid > linalg.TOL:
+            raise NotUnitaryError(
+                f"{name} unitarity residual {resid:.3e} exceeds tol {linalg.TOL:.3e}")
     left = np.kron(warr.T, varr.conj().T)
     return left @ harr @ left.conj().T
 

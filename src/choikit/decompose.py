@@ -54,19 +54,17 @@ class DecompositionPair:
     z1: complex
 
 
-def _boundary(u: float, y: complex, z: complex, floor: float) -> tuple[str, float] | None:
-    """(name, value) of the first of u, |y|, |z| at or below floor, else None."""
-    if not np.isfinite(floor) or floor < 0.0:
-        raise ValueError(f"floor must be finite and nonnegative, got {floor!r}")
+def _boundary(u: float, y: complex, z: complex) -> tuple[str, float] | None:
+    """(name, value) of the first of u, |y|, |z| at or below linalg.TOL, else None."""
     for name, value in (("u", u), ("|y|", abs(y)), ("|z|", abs(z))):
-        if value <= floor:
+        if value <= linalg.TOL:
             return name, value
     return None
 
 
-def _canonical(u: float, y: complex, z: complex, t: complex, floor: float) -> SplitCandidate:
+def _canonical(u: float, y: complex, z: complex, t: complex) -> SplitCandidate:
     """The closed-form split, or at a boundary instance the natural boundary one."""
-    edge = _boundary(u, y, z, floor)
+    edge = _boundary(u, y, z)
     if edge is None:
         ru = float(np.sqrt(u))
         return SplitCandidate(
@@ -102,14 +100,14 @@ def _parts(u: float, y: complex, z: complex, t: complex,
     return h1, h2
 
 
-def canonical_split(h, floor: float = linalg.TOL) -> SplitCandidate:
+def canonical_split(h) -> SplitCandidate:
     """Closed-form split where it exists, or the natural boundary split.
 
     Away from the boundary this is the unique feasible candidate.  At the
     boundary instances: a CP input keeps all weight in the first part, a
     co-CP input keeps all weight in the second.
     """
-    return _canonical(*extremal.extremal_coefficients(h), floor)
+    return _canonical(*extremal.extremal_coefficients(h))
 
 
 def split_matrices(h, cand: SplitCandidate) -> tuple[np.ndarray, np.ndarray]:
@@ -139,32 +137,32 @@ def _factors(u: float, y: complex, t: complex) -> tuple[np.ndarray, np.ndarray, 
     return k1, k2, y1, z1
 
 
-def decompose_extremal(h, tol: float = linalg.TOL) -> DecompositionPair:
+def decompose_extremal(h) -> DecompositionPair:
     """Split a canonical extremal Choi matrix into CP + co-CP rank-one parts.
 
     Requires h to pass extremal.validate_extremal at its default tolerance
-    and u, |y| and |z| all above tol; the split is then unique.  Both parts
+    and u, |y|, |z| above linalg.TOL; the split is then unique.  Both parts
     keep the face structure of the input, sum to it up to rounding, and are
     rank one after the appropriate partial transpose.
     """
     u, y, z, t = extremal.extremal_coefficients(h)
-    edge = _boundary(u, y, z, tol)
+    edge = _boundary(u, y, z)
     if edge is not None:
-        raise HypothesisViolatedError(f"{edge[0]} = {edge[1]:.3e} is below the floor {tol:.3e}")
-    cand = _canonical(u, y, z, t, tol)
+        raise HypothesisViolatedError(
+            f"{edge[0]} = {edge[1]:.3e} is below the floor {linalg.TOL:.3e}")
+    cand = _canonical(u, y, z, t)
     h1, h2 = _parts(u, y, z, t, cand)
     k1, k2, y1, z1 = _factors(u, y, t)
     return DecompositionPair(h1=h1, h2=h2, k1=k1, k2=k2, c=cand.c, y1=y1, z1=z1)
 
 
-def kraus_operators(params: extremal.ExtremalParams,
-                    tol: float = linalg.TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Factor operators (k1, k2) of decompose_extremal(build_extremal(params), tol).
+def kraus_operators(params: extremal.ExtremalParams) -> tuple[np.ndarray, np.ndarray]:
+    """Factor operators (k1, k2) of decompose_extremal(build_extremal(params)).
 
     The represented map is A -> k1 A k1* + k2 A^T k2* with
     k1 k1* + k2 k2* equal to the identity.
     """
-    pair = decompose_extremal(extremal.build_extremal(params), tol)
+    pair = decompose_extremal(extremal.build_extremal(params))
     return pair.k1, pair.k2
 
 

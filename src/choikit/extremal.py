@@ -54,16 +54,16 @@ class ExtremalParams:
     def t(self) -> complex:
         return derived_t(self.u, self.y, self.z, self.t_branch)
 
-    def validate(self, tol: float = linalg.TOL) -> None:
-        """Raise InvalidParamsError naming the first violated invariant."""
+    def validate(self) -> None:
+        """Raise InvalidParamsError naming the first invariant violated at
+        linalg.TOL; the last check is every relation of validate_extremal."""
         u = float(self.u)
         y = complex(self.y)
         z = complex(self.z)
         values = (u, y.real, y.imag, z.real, z.imag)
         if not all(np.isfinite(v) for v in values):
             raise InvalidParamsError("parameters contain NaN or Inf")
-        if self.t_branch not in ("+", "-"):
-            raise InvalidParamsError(f"t branch must be '+' or '-', got {self.t_branch!r}")
+        tol = linalg.TOL
         if u < -tol or u > 1.0 + tol:
             raise InvalidParamsError(f"u = {u!r} outside [0, 1]")
         if self.b > tol:
@@ -76,11 +76,18 @@ class ExtremalParams:
             if edge > tol:
                 raise InvalidParamsError(
                     f"b = 0 requires |y| = 1 or |z| = 1 (other zero); residual {edge:.3e}")
+        # a split residual r <= tol leaves condition2 one of ~4 b sqrt(u) r
+        coeffs = certify.CanonicalCoefficients(1.0, self.b, u, 0.0, y, z, self.t)
+        cert = _check_relations(coeffs, tol)
+        if not cert.passed:
+            raise InvalidParamsError(
+                f"parameters violate {cert.detail} (margin {cert.margin:.3e})")
 
 
-def build_extremal(params: ExtremalParams, tol: float = linalg.TOL) -> np.ndarray:
-    """Canonical extremal Choi matrix for a validated parameter set."""
-    params.validate(tol)
+def build_extremal(params: ExtremalParams) -> np.ndarray:
+    """Canonical extremal Choi matrix for a parameter set that passes
+    params.validate(); validate_extremal then passes it too."""
+    params.validate()
     u = float(params.u)
     y = complex(params.y)
     z = complex(params.z)
@@ -121,31 +128,28 @@ def example_family(s: float) -> np.ndarray:
 
 def degenerate_case(kind: str, y: complex = 0.0, z: complex = 0.0) -> np.ndarray:
     """The three boundary instances whose two-part split is not unique:
-    u = 0, y = 0 (co-CP), or z = 0 (CP)."""
+    u = 0, y = 0 (co-CP), or z = 0 (CP).  Raises InvalidParamsError for a
+    nonzero y or z that the kind sets to zero (u_zero sets both)."""
+    zeroed = {"u_zero": ("y", "z"), "y_zero": ("y",), "z_zero": ("z",)}.get(kind)
+    if zeroed is None:
+        raise InvalidParamsError(f"unknown degenerate kind {kind!r}")
+    for name, value in (("y", y), ("z", z)):
+        if name in zeroed and complex(value) != 0:
+            raise InvalidParamsError(f"{kind} sets {name} to zero, got {value!r}")
     h = np.zeros((4, 4), dtype=np.complex128)
     h[0, 0] = 1.0
     if kind == "u_zero":
         h[1, 1] = 1.0
         return h
-    if kind == "y_zero":
-        zc = complex(z)
-        if not np.isfinite(zc.real) or not np.isfinite(zc.imag) or abs(zc) >= 1.0:
-            raise InvalidParamsError(f"z must lie in the open unit disc, got {z!r}")
-        h[1, 1] = 1.0 - abs(zc) ** 2
-        h[2, 1] = zc
-        h[1, 2] = np.conj(zc)
-        h[3, 3] = abs(zc) ** 2
-        return h
-    if kind == "z_zero":
-        yc = complex(y)
-        if not np.isfinite(yc.real) or not np.isfinite(yc.imag) or abs(yc) >= 1.0:
-            raise InvalidParamsError(f"y must lie in the open unit disc, got {y!r}")
-        h[1, 1] = 1.0 - abs(yc) ** 2
-        h[0, 3] = yc
-        h[3, 0] = np.conj(yc)
-        h[3, 3] = abs(yc) ** 2
-        return h
-    raise InvalidParamsError(f"unknown degenerate kind {kind!r}")
+    name, value, (i, j) = ("z", z, (2, 1)) if kind == "y_zero" else ("y", y, (0, 3))
+    w = complex(value)
+    if not np.isfinite(w.real) or not np.isfinite(w.imag) or abs(w) >= 1.0:
+        raise InvalidParamsError(f"{name} must lie in the open unit disc, got {value!r}")
+    h[1, 1] = 1.0 - abs(w) ** 2
+    h[i, j] = w
+    h[j, i] = np.conj(w)
+    h[3, 3] = abs(w) ** 2
+    return h
 
 
 def _check_relations(coeffs: certify.CanonicalCoefficients, tol: float) -> Certificate:
@@ -182,38 +186,35 @@ def validate_extremal(h, tol: float = linalg.TOL) -> Certificate:
     return _check_relations(certify.canonical_coefficients(h), tol)
 
 
-def extremal_coefficients(h, tol: float = linalg.TOL) -> tuple[float, complex, complex, complex]:
+def extremal_coefficients(h) -> tuple[float, complex, complex, complex]:
     """(u, y, z, t) of h; raises NotExtremalError naming the first relation
-    that validate_extremal finds violated at tol."""
+    that validate_extremal finds violated at linalg.TOL."""
     coeffs = certify.canonical_coefficients(h)
-    cert = _check_relations(coeffs, tol)
+    cert = _check_relations(coeffs, linalg.TOL)
     if not cert.passed:
         raise NotExtremalError(
             f"not a canonical extremal matrix: {cert.detail} (margin {cert.margin:.3e})")
     return coeffs.u, coeffs.y, coeffs.z, coeffs.t
 
 
-def params_from_choi(h, tol: float = linalg.TOL) -> ExtremalParams:
-    """Recover the parameter set of a validated canonical extremal matrix."""
-    u, y, z, t = extremal_coefficients(h, tol)
+def params_from_choi(h) -> ExtremalParams:
+    """Recover the parameter set of a matrix that validate_extremal passes."""
+    u, y, z, t = extremal_coefficients(h)
     principal = derived_t(u, y, z, "+")
     branch = "+" if abs(t - principal) <= abs(t + principal) else "-"
     return ExtremalParams(u=u, y=y, z=z, t_branch=branch)
 
 
-def random_params(rng: np.random.Generator,
-                  u_range: tuple[float, float] = (0.05, 0.95),
-                  modulus_floor: float = 1e-3) -> ExtremalParams:
+def random_params(rng: np.random.Generator) -> ExtremalParams:
     """Draw a valid parameter set from an explicit random generator.
 
-    |y| and |z| are floored away from zero so the draws satisfy the split
+    u is uniform on [0.05, 0.95] and |y| on [1e-3, sqrt(u) - 1e-3], so |y|
+    and |z| = sqrt(u) - |y| stay off zero and the draws satisfy the split
     hypotheses; phases and the t branch are uniform.
     """
-    u = float(rng.uniform(*u_range))
+    u = float(rng.uniform(0.05, 0.95))
     root = float(np.sqrt(u))
-    if root <= 2.0 * modulus_floor:
-        raise InvalidParamsError("u too small for the requested modulus floor")
-    ymod = float(rng.uniform(modulus_floor, root - modulus_floor))
+    ymod = float(rng.uniform(1e-3, root - 1e-3))
     zmod = root - ymod
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=2))
     branch = "+" if int(rng.integers(0, 2)) == 0 else "-"

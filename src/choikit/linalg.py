@@ -78,10 +78,6 @@ def unitarity_residual(m) -> float:
     return max(maxabs(arr.conj().T @ arr - eye), maxabs(arr @ arr.conj().T - eye))
 
 
-def is_unitary(m, tol: float = TOL) -> bool:
-    return unitarity_residual(as_matrix(m)) <= tol
-
-
 def principal_sqrt(w) -> complex:
     """Principal complex square root; negative reals map to +i * sqrt(|w|)."""
     w = complex(w)
@@ -106,27 +102,26 @@ def psd_check(m, tol: float = TOL) -> Certificate:
     return Certificate(FAIL, lam, witness=vecs[:, 0].copy(), detail="lambda_min")
 
 
-def rank_estimate(m, tol: float = TOL) -> int:
-    """Number of singular values above tol * sigma_max."""
+def rank_estimate(m) -> int:
+    """Number of singular values above TOL * sigma_max."""
     sv = np.linalg.svd(as_matrix(m), compute_uv=False)
-    return int(np.sum(sv > tol * sv[0])) if sv.size else 0
+    return int(np.sum(sv > TOL * sv[0])) if sv.size else 0
 
 
-def complete_to_unitary(v, position: str = "second", tol: float = TOL) -> np.ndarray:
-    """Extend a unit vector in C^2 to a unitary holding v in the given column.
-
-    For v = (v1, v2) the complement column is (-conj(v2), conj(v1)), rephased
-    so its first entry of modulus above tol becomes real positive.  This
-    makes the completion deterministic and reproducible.
+def complete_to_unitary(v, position: str = "second") -> np.ndarray:
+    """Extend a unit vector in C^2 (norm 1 within TOL) to a unitary holding v
+    in the given column.  For v = (v1, v2) the complement column is
+    (-conj(v2), conj(v1)), rephased so its first entry of modulus above TOL
+    becomes real positive, so the completion is deterministic.
     """
     if position not in ("first", "second"):
         raise ValueError(f"position must be 'first' or 'second', got {position!r}")
     vec = as_vector(v, 2)
     resid = abs(float(np.linalg.norm(vec)) - 1.0)
-    if resid > tol:
-        raise NotUnitVectorError(f"norm residual {resid:.3e} exceeds tol {tol:.3e}")
+    if resid > TOL:
+        raise NotUnitVectorError(f"norm residual {resid:.3e} exceeds tol {TOL:.3e}")
     comp = np.array([-np.conj(vec[1]), np.conj(vec[0])])
-    k = 0 if abs(comp[0]) > tol else 1
+    k = 0 if abs(comp[0]) > TOL else 1
     comp = comp * (np.conj(comp[k]) / abs(comp[k]))
     cols = (vec, comp) if position == "first" else (comp, vec)
     return np.column_stack(cols)

@@ -137,7 +137,7 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
         raise ValueError(f"samples must be nonnegative, got {samples!r}")
     linalg.tol_bound(tol, 1.0)  # raises unless tol is finite and >= 0
     u, y, z, t = extremal.extremal_coefficients(h)
-    canon = _canonical(u, y, z, t, linalg.TOL)
+    canon = _canonical(u, y, z, t)
     cvec = canon.vector()
     lo, hi = _structural_box(u, t)
     boxes = ((lo, hi), (np.maximum(lo, cvec - radius), np.minimum(hi, cvec + radius)))
@@ -219,7 +219,7 @@ def epsilon_family(h, eps: float, tol: float = linalg.TOL) -> tuple[np.ndarray, 
     u, y, z, _ = extremal.extremal_coefficients(harr)
     if not np.isfinite(eps) or eps <= 0.0:
         raise InvalidParamsError(f"eps must be positive, got {eps!r}")
-    edge = _boundary(u, y, z, linalg.TOL)
+    edge = _boundary(u, y, z)
     if edge is None:
         raise InvalidParamsError("the split of this matrix is unique; no shift family exists")
     required = {"u": ("cp", "ccp"), "|y|": ("ccp",), "|z|": ("cp",)}[edge[0]]

@@ -5,9 +5,12 @@ reads."""
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import choikit as ck
+
+from test_linalg import TOL_CHECKS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "choikit"
@@ -39,6 +42,25 @@ def test_all_lists_exactly_the_exported_names():
     assert set(ck.__all__) == EXPORTS
     for name in ck.__all__:
         assert hasattr(ck, name), name
+
+
+def test_only_the_checks_take_a_tolerance():
+    # a public function takes tol only if it decides a verdict at that tol;
+    # everything else uses linalg.TOL
+    takers = set()
+    for name in ck.__all__:
+        obj = getattr(ck, name)
+        if inspect.isfunction(obj):
+            members = [(name, obj)]
+        elif inspect.isclass(obj):
+            members = [(f"{name}.{attr}", m)
+                       for attr, m in inspect.getmembers(obj, inspect.isfunction)
+                       if not (attr.startswith("__") and attr.endswith("__"))]
+        else:
+            members = []
+        takers.update(label for label, fn in members
+                      if {"tol", "floor"} & set(inspect.signature(fn).parameters))
+    assert takers == set(TOL_CHECKS)
 
 
 def _module_functions() -> set[tuple[str, str]]:

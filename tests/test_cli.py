@@ -82,6 +82,17 @@ class TestGenerate:
         assert result.returncode == 2
         assert "error" in result.stderr
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--u", "0.3", "--y", "0.2738612788", "--z", "0.2738612788"], "violate condition2"),
+        (["--degenerate", "y_zero", "--y", "0.3", "--z", "0.5"], "y_zero sets y to zero"),
+        (["--degenerate", "u_zero", "--z", "0.5"], "u_zero sets z to zero"),
+    ])
+    def test_parameters_the_matrix_would_not_honour_exit_2(self, capsys, argv, message):
+        assert cli.main(["generate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_pretty_output_renders_verdicts(self):
         result = run_cli("generate", "--example-s", "0.5", "--pretty")
         assert result.returncode == 0

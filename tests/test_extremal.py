@@ -38,6 +38,28 @@ class TestBuildExtremal:
             ck.build_extremal(ck.ExtremalParams(u=0.25, y=0.25, z=0.25, t_branch="x"))
         with pytest.raises(InvalidParamsError, match="b = 0"):
             ck.build_extremal(ck.ExtremalParams(u=1.0, y=0.5, z=0.5))
+        with pytest.raises(InvalidParamsError, match="condition2"):  # sqrt(0.3)/2 to 10 digits
+            ck.build_extremal(ck.ExtremalParams(u=0.3, y=0.2738612788, z=0.2738612788))
+
+    def test_a_built_matrix_passes_validate_extremal(self):
+        # a split residual r <= TOL passes the |y| + |z| check, but the
+        # derived t leaves condition2 a residual of about 4 b sqrt(u) r
+        outcomes = set()
+        for u in np.linspace(0.05, 0.95, 19):
+            for resid in (2e-11, 6e-11, 9.5e-11, 15e-11, -2e-11, -6e-11, -9.5e-11, -15e-11):
+                for branch in ("+", "-"):
+                    root = np.sqrt(u)
+                    params = ck.ExtremalParams(u=u, y=0.4 * root + resid, z=0.6j * root,
+                                               t_branch=branch)
+                    try:
+                        h = ck.build_extremal(params)
+                    except InvalidParamsError:
+                        outcomes.add("rejected")
+                        continue
+                    outcomes.add("built")
+                    cert = ck.validate_extremal(h)
+                    assert cert.passed, (u, resid, branch, cert.detail, cert.margin)
+        assert outcomes == {"built", "rejected"}
 
     def test_branch_selects_sign_of_t(self):
         plus = ck.build_extremal(ck.ExtremalParams(u=0.25, y=0.25, z=0.25, t_branch="+"))
@@ -110,6 +132,23 @@ class TestDegenerateCase:
             ck.degenerate_case("z_zero", y=1.2)
         with pytest.raises(InvalidParamsError):
             ck.degenerate_case("nonsense")
+
+    @pytest.mark.parametrize("kind, kwargs", [
+        ("y_zero", {"y": 0.3, "z": 0.5}),
+        ("z_zero", {"y": 0.5, "z": 0.3j}),
+        ("u_zero", {"y": 0.3}),
+        ("u_zero", {"z": 0.5}),
+        ("y_zero", {"y": float("nan"), "z": 0.5}),
+    ])
+    def test_a_coefficient_the_kind_sets_to_zero_must_be_zero(self, kind, kwargs):
+        with pytest.raises(InvalidParamsError, match=f"^{kind} sets [yz] to zero"):
+            ck.degenerate_case(kind, **kwargs)
+
+    def test_an_explicit_zero_is_accepted(self):
+        for kind, kwargs in (("y_zero", {"z": 0.5}), ("z_zero", {"y": 0.5j}), ("u_zero", {})):
+            h = ck.degenerate_case(kind, **kwargs)
+            explicit = ck.degenerate_case(kind, **{"y": 0.0, "z": 0.0, **kwargs})
+            assert h.tobytes() == explicit.tobytes()
 
 
 class TestValidateExtremal:

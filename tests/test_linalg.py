@@ -7,7 +7,7 @@ import choikit as ck
 from choikit import linalg
 from choikit.errors import NonFiniteEntryError, NotHermitianError, NotUnitVectorError
 
-from conftest import assert_rank_one_by_minors, haar_unitary, rand_unit_vector
+from conftest import assert_rank_one_by_minors, rand_unit_vector
 
 
 class TestPsdCheck:
@@ -200,9 +200,3 @@ class TestHelpers:
         assert root == pytest.approx(2j)
         root = linalg.principal_sqrt(complex(-4.0, -0.0))
         assert root == pytest.approx(2j)
-
-    def test_is_unitary_on_haar_samples(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            assert linalg.is_unitary(haar_unitary(rng))
-        assert not linalg.is_unitary(np.ones((2, 2)))
