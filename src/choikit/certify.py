@@ -145,14 +145,24 @@ def canonical_coefficients(h) -> CanonicalCoefficients:
     linalg.TOL * max|h|.
     """
     hs, scale = linalg.require_hermitian(linalg.as_matrix(h, 4))
-    off = max(abs(hs[0, 2]), abs(hs[2, 2]), abs(hs[2, 3]))
-    bound = linalg.TOL * scale
-    if off > bound:
-        raise NotCanonicalFormError(f"off-pattern residual {off:.3e} exceeds tol {bound:.3e}")
+    linalg.require_below(max(abs(hs[0, 2]), abs(hs[2, 2]), abs(hs[2, 3])), linalg.TOL * scale,
+                         "off-pattern", NotCanonicalFormError)
     return CanonicalCoefficients(
         a=float(hs[0, 0].real), b=float(hs[1, 1].real), u=float(hs[3, 3].real),
         c=complex(hs[0, 1]), y=complex(hs[0, 3]), z=complex(hs[2, 1]), t=complex(hs[1, 3]),
     )
+
+
+def canonical_matrix(a, b, u, c, y, z, t) -> np.ndarray:
+    """The face-form matrix of these coefficients: the inverse of
+    canonical_coefficients and the one writer of its layout.  Pass a zero
+    as the float 0.0, whose mirror np.conj(0.0) is +0.0 (0j's is -0.0j)."""
+    return np.array([
+        [a, c, 0.0, y],
+        [np.conj(c), b, np.conj(z), t],
+        [0.0, z, 0.0, 0.0],
+        [np.conj(y), np.conj(t), 0.0, u],
+    ], dtype=np.complex128)
 
 
 def _minors(a, b, u, c, y, t) -> list:

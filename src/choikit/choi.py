@@ -72,10 +72,8 @@ def conjugate(h, v, w) -> np.ndarray:
     varr = linalg.as_matrix(v, 2)
     warr = linalg.as_matrix(w, 2)
     for name, m in (("V", varr), ("W", warr)):
-        resid = linalg.unitarity_residual(m)
-        if resid > linalg.TOL:
-            raise NotUnitaryError(
-                f"{name} unitarity residual {resid:.3e} exceeds tol {linalg.TOL:.3e}")
+        linalg.require_below(linalg.unitarity_residual(m), linalg.TOL, f"{name} unitarity",
+                             NotUnitaryError)
     left = np.kron(warr.T, varr.conj().T)
     return left @ harr @ left.conj().T
 
@@ -127,9 +125,7 @@ def canonicalize(h, xi, eta, tol: float = linalg.TOL) -> tuple[np.ndarray, FaceF
     NotInFaceError if the face residual exceeds tol * max|h|.
     """
     harr = linalg.as_matrix(h, 4)
-    resid = float(np.linalg.norm(face_image(harr, xi, eta)))
-    bound = linalg.scaled_tol(harr, tol)
-    if resid > bound:
-        raise NotInFaceError(f"face residual {resid:.3e} exceeds tol {bound:.3e}")
+    linalg.require_below(float(np.linalg.norm(face_image(harr, xi, eta))),
+                         linalg.scaled_tol(harr, tol), "face", NotInFaceError)
     frame = build_face_frame(xi, eta)
     return conjugate(harr, frame.v, frame.w), frame

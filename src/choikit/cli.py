@@ -16,7 +16,6 @@ import sys
 import time
 
 from . import __version__, certify, decompose, extremal, io, uniqueness
-from .errors import ChoiKitError
 
 
 def _tolerance(text: str) -> float:
@@ -56,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--u", type=float, default=None)
     gen.add_argument("--y", type=str, default=None, help="complex literal, e.g. 0.25+0i")
     gen.add_argument("--z", type=str, default=None, help="complex literal, e.g. 0.25")
-    gen.add_argument("--t-branch", choices=["+", "-"], default="+")
+    gen.add_argument("--t-branch", choices=["+", "-"], default=None, help="branch of t (default +)")
     _common_flags(gen)
 
     cer = sub.add_parser("certify", help="run positivity-class checks on a matrix file")
@@ -91,8 +90,11 @@ def _load_matrix(path: str):
     else:
         with open(path, "rb") as fh:
             raw = fh.read()
-    matrix = io.matrix_from_json(json.loads(raw.decode("utf-8")))
-    return matrix, hashlib.sha256(raw).hexdigest()
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except RecursionError as exc:  # JSON nested deeper than the interpreter's limit
+        raise ValueError(str(exc)) from None
+    return io.matrix_from_json(obj), hashlib.sha256(raw).hexdigest()
 
 
 def _tol(args) -> dict:
@@ -101,9 +103,14 @@ def _tol(args) -> dict:
 
 
 def _run_generate(args) -> tuple[dict, int]:
-    modes = [args.example_s is not None, args.degenerate is not None, args.u is not None]
-    if sum(modes) != 1:
+    # each mode and the optional flags that it reads; passing any other is an error
+    modes = {"--example-s": (), "--degenerate": ("--y", "--z"), "--u": ("--y", "--z", "--t-branch")}
+    chosen = [m for m, v in zip(modes, (args.example_s, args.degenerate, args.u)) if v is not None]
+    if len(chosen) != 1:
         raise ValueError("choose exactly one of --example-s, --degenerate, or --u/--y/--z")
+    for flag, value in (("--y", args.y), ("--z", args.z), ("--t-branch", args.t_branch)):
+        if value is not None and flag not in modes[chosen[0]]:
+            raise ValueError(f"{flag} is not used with {chosen[0]}")
     if args.example_s is not None:
         matrix = extremal.example_family(args.example_s)
         params: dict = {"example_s": args.example_s}
@@ -120,7 +127,7 @@ def _run_generate(args) -> tuple[dict, int]:
             u=args.u,
             y=io.parse_complex(args.y),
             z=io.parse_complex(args.z),
-            t_branch=args.t_branch,
+            t_branch=args.t_branch or "+",
         )
         matrix = extremal.build_extremal(pset)
         params = {"u": pset.u, "y": io.complex_pair(pset.y),
@@ -149,15 +156,10 @@ _CERTIFY_CHECKS = {
 def _run_certify(args) -> tuple[dict, int]:
     matrix, digest = _load_matrix(args.matrix)
     requested = [name for name in _CERTIFY_CHECKS if getattr(args, name)]
-    if not requested:
-        requested = ["positive", "cp", "ccp"]
-    results: dict = {"checks": {}}
-    all_pass = True
-    for name in requested:
-        cert = _CERTIFY_CHECKS[name](matrix, **_tol(args))
-        results["checks"][name] = io.certificate_to_json(cert)
-        all_pass = all_pass and cert.passed
-    return _report(args, results, digest), 0 if all_pass else 1
+    certs = {name: _CERTIFY_CHECKS[name](matrix, **_tol(args))
+             for name in requested or ("positive", "cp", "ccp")}
+    results = {"checks": {name: io.certificate_to_json(cert) for name, cert in certs.items()}}
+    return _report(args, results, digest), 0 if all(cert.passed for cert in certs.values()) else 1
 
 
 def _run_decompose(args) -> tuple[dict, int]:
@@ -210,18 +212,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    try:
+    try:  # ChoiKitError and json.JSONDecodeError are ValueErrors
         report, code = _RUNNERS[args.command](args)
-    except (ChoiKitError, ValueError, OSError, json.JSONDecodeError) as exc:
+        report["timing_s"] = time.perf_counter() - started
+        text = io.dumps_report(report, pretty=args.pretty)
+        text = text if text.endswith("\n") else text + "\n"
+        if args.out:  # an unwritable path is an input error too
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report["timing_s"] = time.perf_counter() - started
-    text = io.dumps_report(report, pretty=args.pretty)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return code
 
 

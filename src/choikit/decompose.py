@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import certify, choi, extremal, linalg
-from .certificate import FAIL, Certificate, from_margins
+from . import certify, extremal, linalg
+from .certificate import Certificate, from_margins
 from .errors import HypothesisViolatedError
 
 
@@ -85,19 +85,8 @@ def _parts(u: float, y: complex, z: complex, t: complex,
            cand: SplitCandidate) -> tuple[np.ndarray, np.ndarray]:
     """The two structured parts of a candidate, the second from the totals."""
     a2, b2, u2, t2 = cand.complement(u, t)
-    h1 = np.array([
-        [cand.a1, cand.c, 0.0, y],
-        [np.conj(cand.c), cand.b1, 0.0, cand.t1],
-        [0.0, 0.0, 0.0, 0.0],
-        [np.conj(y), np.conj(cand.t1), 0.0, cand.u1],
-    ], dtype=np.complex128)
-    h2 = np.array([
-        [a2, -cand.c, 0.0, 0.0],
-        [-np.conj(cand.c), b2, np.conj(z), t2],
-        [0.0, z, 0.0, 0.0],
-        [0.0, np.conj(t2), 0.0, u2],
-    ], dtype=np.complex128)
-    return h1, h2
+    return (certify.canonical_matrix(cand.a1, cand.b1, cand.u1, cand.c, y, 0.0, cand.t1),
+            certify.canonical_matrix(a2, b2, u2, -cand.c, 0.0, z, t2))
 
 
 def canonical_split(h) -> SplitCandidate:
@@ -169,21 +158,21 @@ def kraus_operators(params: extremal.ExtremalParams) -> tuple[np.ndarray, np.nda
 def verify_decomposition(h, pair: DecompositionPair, tol: float = linalg.TOL) -> Certificate:
     """Check a claimed split: the parts sum to h, h1 is CP, h2 is co-CP,
     and both lie in the canonical face (annihilate e1 on P_e2), each judged
-    at tol * max|h|.  A part that linalg.require_hermitian rejects, as
-    cp_check and ccp_check do, fails hermitian(hX) whatever tol is."""
+    at tol * max|h|, except that hermitian(hX) is judged at the smaller of
+    that and linalg.TOL * max|hX|, beyond which cp_check and ccp_check
+    reject the part; the later margins join once both parts are within it.
+    The detail names the first failing condition."""
     harr = linalg.as_matrix(h, 4)
-    e1 = np.array([1.0, 0.0], dtype=np.complex128)
-    e2 = np.array([0.0, 1.0], dtype=np.complex128)
     parts = (("h1", pair.h1), ("h2", pair.h2))
     margins = [("sum", -linalg.maxabs(pair.h1 + pair.h2 - harr))]
-    margins += [(f"hermitian({name})", -linalg.hermitian_residual(part)) for name, part in parts]
-    skew = from_margins(margins[1:], [linalg.scaled_tol(p, linalg.TOL) for _, p in parts], "")
-    if skew.passed:
-        margins.append(("cp(h1)", certify.cp_check(pair.h1, tol).margin))
-        margins.append(("ccp(h2)", certify.ccp_check(pair.h2, tol).margin))
-        for name, part in parts:
-            margins.append((f"face({name})", -float(np.linalg.norm(choi.face_image(part, e2, e1)))))
-    cert = from_margins(margins, linalg.scaled_tol(harr, tol), "sum, classes, and faces")
-    if cert.passed and not skew.passed:
-        return Certificate(FAIL, cert.margin, witness=skew.detail, detail=skew.detail)
-    return cert
+    skews = [(linalg.hermitian_residual(p), linalg.scaled_tol(p, linalg.TOL)) for _, p in parts]
+    margins += [(f"hermitian({name})", -skew) for (name, _), (skew, _) in zip(parts, skews)]
+    bound = linalg.scaled_tol(harr, tol)
+    bounds = [bound] + [min(bound, limit) for _, limit in skews]
+    if all(skew <= limit for skew, limit in skews):
+        margins += [("cp(h1)", certify.cp_check(pair.h1, tol).margin),
+                    ("ccp(h2)", certify.ccp_check(pair.h2, tol).margin)]
+        margins += [(f"face({name})", -certify.face_membership(part, (0.0, 1.0), (1.0, 0.0)).margin)
+                    for name, part in parts]
+    bounds += [bound] * (len(margins) - len(bounds))
+    return from_margins(margins, bounds, "sum, classes, and faces")

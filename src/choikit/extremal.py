@@ -54,62 +54,46 @@ class ExtremalParams:
     def t(self) -> complex:
         return derived_t(self.u, self.y, self.z, self.t_branch)
 
-    def validate(self) -> None:
-        """Raise InvalidParamsError naming the first invariant violated at
-        linalg.TOL; the last check is every relation of validate_extremal."""
+    def validate(self) -> certify.CanonicalCoefficients:
+        """The coefficients of the matrix these parameters describe; raises
+        InvalidParamsError naming the first invariant violated at linalg.TOL,
+        the last check being every relation of validate_extremal."""
         u = float(self.u)
         y = complex(self.y)
         z = complex(self.z)
-        values = (u, y.real, y.imag, z.real, z.imag)
-        if not all(np.isfinite(v) for v in values):
+        if not np.isfinite([u, y, z]).all():
             raise InvalidParamsError("parameters contain NaN or Inf")
         tol = linalg.TOL
         if u < -tol or u > 1.0 + tol:
             raise InvalidParamsError(f"u = {u!r} outside [0, 1]")
         if self.b > tol:
+            rule = "|y| + |z| must equal sqrt(u) when b > 0"
             resid = abs(abs(y) + abs(z) - np.sqrt(max(u, 0.0)))
-            if resid > tol:
-                raise InvalidParamsError(
-                    f"|y| + |z| must equal sqrt(u) when b > 0; residual {resid:.3e}")
         else:
-            edge = min(abs(abs(y) - 1.0) + abs(z), abs(abs(z) - 1.0) + abs(y))
-            if edge > tol:
-                raise InvalidParamsError(
-                    f"b = 0 requires |y| = 1 or |z| = 1 (other zero); residual {edge:.3e}")
+            rule = "b = 0 requires |y| = 1 or |z| = 1 (other zero)"
+            resid = min(abs(abs(y) - 1.0) + abs(z), abs(abs(z) - 1.0) + abs(y))
+        if resid > tol:
+            raise InvalidParamsError(f"{rule}; residual {resid:.3e}")
         # a split residual r <= tol leaves condition2 one of ~4 b sqrt(u) r
         coeffs = certify.CanonicalCoefficients(1.0, self.b, u, 0.0, y, z, self.t)
         cert = _check_relations(coeffs, tol)
         if not cert.passed:
             raise InvalidParamsError(
                 f"parameters violate {cert.detail} (margin {cert.margin:.3e})")
+        return coeffs
 
 
 def build_extremal(params: ExtremalParams) -> np.ndarray:
     """Canonical extremal Choi matrix for a parameter set that passes
     params.validate(); validate_extremal then passes it too."""
-    params.validate()
-    u = float(params.u)
-    y = complex(params.y)
-    z = complex(params.z)
-    t = params.t
-    h = np.zeros((4, 4), dtype=np.complex128)
-    h[0, 0] = 1.0
-    h[1, 1] = params.b
-    h[3, 3] = u
-    h[0, 3] = y
-    h[3, 0] = np.conj(y)
-    h[2, 1] = z
-    h[1, 2] = np.conj(z)
-    h[1, 3] = t
-    h[3, 1] = np.conj(t)
-    return h
+    return certify.canonical_matrix(*params.validate())
 
 
 def example_family(s: float) -> np.ndarray:
     """Canonical one-parameter family with u = s^2, y = z = s/2, 0 < s < 1.
 
-    Assembled directly from the closed-form entries (not via
-    build_extremal) so the two construction paths can be cross-checked.
+    Assembled entry by entry, not through certify.canonical_matrix like every
+    other constructor, so that it is an independent path to check them by.
     """
     s = float(s)
     if not np.isfinite(s) or not 0.0 < s < 1.0:
@@ -136,20 +120,14 @@ def degenerate_case(kind: str, y: complex = 0.0, z: complex = 0.0) -> np.ndarray
     for name, value in (("y", y), ("z", z)):
         if name in zeroed and complex(value) != 0:
             raise InvalidParamsError(f"{kind} sets {name} to zero, got {value!r}")
-    h = np.zeros((4, 4), dtype=np.complex128)
-    h[0, 0] = 1.0
     if kind == "u_zero":
-        h[1, 1] = 1.0
-        return h
-    name, value, (i, j) = ("z", z, (2, 1)) if kind == "y_zero" else ("y", y, (0, 3))
+        return certify.canonical_matrix(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    name, value = ("z", z) if kind == "y_zero" else ("y", y)
     w = complex(value)
     if not np.isfinite(w.real) or not np.isfinite(w.imag) or abs(w) >= 1.0:
         raise InvalidParamsError(f"{name} must lie in the open unit disc, got {value!r}")
-    h[1, 1] = 1.0 - abs(w) ** 2
-    h[i, j] = w
-    h[j, i] = np.conj(w)
-    h[3, 3] = abs(w) ** 2
-    return h
+    yw, zw = (0.0, w) if kind == "y_zero" else (w, 0.0)
+    return certify.canonical_matrix(1.0, 1.0 - abs(w) ** 2, abs(w) ** 2, 0.0, yw, zw, 0.0)
 
 
 def _check_relations(coeffs: certify.CanonicalCoefficients, tol: float) -> Certificate:

@@ -44,7 +44,10 @@ def matrix_from_json(obj) -> np.ndarray:
                     or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                                for x in pair)):
                 raise ValueError(f"entry ({i},{j}) must be a [re, im] pair of numbers")
-            out[i, j] = complex(float(pair[0]), float(pair[1]))
+            try:
+                out[i, j] = complex(float(pair[0]), float(pair[1]))
+            except OverflowError:  # an integer beyond the float range
+                raise ValueError(f"entry ({i},{j}) does not fit in a float") from None
     return linalg.as_matrix(out, n)
 
 

@@ -62,13 +62,16 @@ def hermitian_residual(m) -> float:
     return maxabs(arr - arr.conj().T)
 
 
+def require_below(resid: float, bound: float, label: str, error: type[Exception]) -> None:
+    """Raise error, naming label and both numbers, if resid exceeds bound."""
+    if resid > bound:
+        raise error(f"{label} residual {resid:.3e} exceeds tol {bound:.3e}")
+
+
 def require_hermitian(m: np.ndarray) -> tuple[np.ndarray, float]:
     """(Symmetrized m, max|m|), or raise if m - m* exceeds TOL * max|m| anywhere."""
     scale = maxabs(m)
-    resid = hermitian_residual(m)
-    bound = TOL * scale
-    if resid > bound:
-        raise NotHermitianError(f"hermiticity residual {resid:.3e} exceeds tol {bound:.3e}")
+    require_below(hermitian_residual(m), TOL * scale, "hermiticity", NotHermitianError)
     return 0.5 * (m + m.conj().T), scale
 
 
@@ -117,9 +120,7 @@ def complete_to_unitary(v, position: str = "second") -> np.ndarray:
     if position not in ("first", "second"):
         raise ValueError(f"position must be 'first' or 'second', got {position!r}")
     vec = as_vector(v, 2)
-    resid = abs(float(np.linalg.norm(vec)) - 1.0)
-    if resid > TOL:
-        raise NotUnitVectorError(f"norm residual {resid:.3e} exceeds tol {TOL:.3e}")
+    require_below(abs(float(np.linalg.norm(vec)) - 1.0), TOL, "norm", NotUnitVectorError)
     comp = np.array([-np.conj(vec[1]), np.conj(vec[0])])
     k = 0 if abs(comp[0]) > TOL else 1
     comp = comp * (np.conj(comp[k]) / abs(comp[k]))

@@ -85,7 +85,7 @@ def _axis_points(lo: float, hi: float, resolution: float) -> np.ndarray:
     span = hi - lo
     if span <= 0.0:
         return np.array([lo])
-    n = min(int(span / resolution) + 1, _GRID_CAP)
+    n = min(int(min(span / resolution, _GRID_CAP)) + 1, _GRID_CAP)  # the ratio may overflow
     n = max(n, 3)
     if n % 2 == 0:
         n += 1
@@ -223,8 +223,7 @@ def epsilon_family(h, eps: float, tol: float = linalg.TOL) -> tuple[np.ndarray, 
     if edge is None:
         raise InvalidParamsError("the split of this matrix is unique; no shift family exists")
     required = {"u": ("cp", "ccp"), "|y|": ("ccp",), "|z|": ("cp",)}[edge[0]]
-    shift = np.zeros((4, 4), dtype=np.complex128)
-    shift[1, 1] = eps
+    shift = certify.canonical_matrix(0.0, eps, 0.0, 0.0, 0.0, 0.0, 0.0)
     remainder = harr - shift
     for kind in required:
         check = certify.cp_check if kind == "cp" else certify.ccp_check

@@ -343,6 +343,33 @@ class TestFaceMembership:
         assert cert.margin == pytest.approx(1.0, abs=1e-12)
 
 
+class TestCanonicalMatrix:
+    def test_it_inverts_canonical_coefficients(self):
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            a, b, u = rng.normal(size=3)
+            c, y, z, t = rng.normal(size=4) + 1j * rng.normal(size=4)
+            coeffs = certify.CanonicalCoefficients(a, b, u, c, y, z, t)
+            assert ck.canonical_coefficients(certify.canonical_matrix(*coeffs)) == coeffs
+
+    @pytest.mark.parametrize("coeffs", [
+        (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+        (1.0, 0.5, 0.5, 0.0, 0.3 - 0.4j, 0.0, 0.0),
+        (1.0, 0.75, 0.25, 0.0, 0.0, -0.5j, 0.0),
+        (0.5, 0.25, 0.0, 0.1j, 0.0, 0.0, 0.0),
+    ])
+    def test_zero_coefficients_round_trip_and_mirror_to_positive_zero(self, coeffs):
+        h = certify.canonical_matrix(*coeffs)
+        assert ck.canonical_coefficients(h) == certify.CanonicalCoefficients(*coeffs)
+        for (i, j), value in zip([(0, 1), (0, 3), (2, 1), (1, 3)], coeffs[3:]):
+            if isinstance(value, float) and value == 0.0:
+                mirror = h[j, i]
+                assert mirror == 0.0 and not np.signbit(mirror.real) and not np.signbit(mirror.imag)
+        # everything off the seven coefficients and their mirrors is +0.0
+        fixed = h[[0, 2, 2, 2, 3], [2, 0, 2, 3, 2]]
+        assert not np.any(fixed) and not np.any(np.signbit(fixed.view(float)))
+
+
 class TestCanonicalConditions:
     def test_cp_degenerate_passes_all_five(self):
         cert = ck.canonical_cp_conditions(ck.degenerate_case("z_zero", y=0.5))

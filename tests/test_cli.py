@@ -93,6 +93,22 @@ class TestGenerate:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--example-s", "0.5", "--y", "3", "--t-branch", "-"], "--y is not used with --example-s"),
+        (["--example-s", "0.5", "--t-branch", "+"], "--t-branch is not used with --example-s"),
+        (["--degenerate", "y_zero", "--z", "0.5", "--t-branch", "-"],
+         "--t-branch is not used with --degenerate"),
+    ])
+    def test_a_flag_the_mode_does_not_read_exits_2(self, capsys, argv, message):
+        assert cli.main(["generate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_u_mode_defaults_to_the_plus_branch(self, capsys):
+        assert cli.main(["generate", "--u", "0.25", "--y", "0.25", "--z", "0.25"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["params"]["t_branch"] == "+"
+
     def test_pretty_output_renders_verdicts(self):
         result = run_cli("generate", "--example-s", "0.5", "--pretty")
         assert result.returncode == 0
@@ -256,6 +272,45 @@ class TestOutputFile:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["command"] == "generate"
         assert report["tool"] == "choikit"
+
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_an_unwritable_path_exits_2(self, tmp_path, capsys, target):
+        # a missing directory, then a directory where the file should be
+        out = tmp_path / target
+        assert cli.main(["generate", "--example-s", "0.5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno ") and str(out) in captured.err
+
+
+class TestMalformedInput:
+    def test_an_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        rows = [[[0, 0]] * 4 for _ in range(4)]
+        rows[1][2] = [0, 10 ** 400]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": rows}), encoding="utf-8")
+        assert cli.main(["certify", str(path)]) == 2
+        assert capsys.readouterr().err == "error: entry (1,2) does not fit in a float\n"
+
+    def test_json_nested_deeper_than_the_recursion_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert cli.main(["certify", str(path)]) == 2
+        assert "error: maximum recursion depth exceeded" in capsys.readouterr().err
+
+    def test_a_resolution_too_small_for_the_grid_count_gives_the_capped_grid(
+            self, tmp_path, capsys):
+        # span / 1e-320 overflows a float; every such resolution gives 7 points an axis
+        path = tmp_path / "m.json"
+        write_matrix(path, ck.example_family(0.5))
+        reports = []
+        for resolution in ("1e-320", "1e-9"):
+            assert cli.main(["explore", str(path), "--resolution", resolution,
+                             "--samples", "0"]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["results"]["search"])
+        assert reports[0]["grid_points"] == reports[1]["grid_points"]
+        assert reports[0]["resolution"] == 1e-320
 
 
 class TestInProcess:

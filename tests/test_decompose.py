@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import choikit as ck
-from choikit import choi
+from choikit import choi, linalg
 from choikit.errors import HypothesisViolatedError, NotExtremalError
 
 from conftest import assert_rank_one_by_minors
@@ -247,6 +247,26 @@ class TestVerifyDecomposition:
             cert = ck.verify_decomposition(h, broken, tol=tol)
             assert not cert.passed, tol
             assert cert.detail == "hermitian(h1)", tol
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-10, 1e-3])
+    def test_a_doubly_skewed_pair_names_its_first_failing_condition(self, tol):
+        h = ck.example_family(0.5)
+        pair = ck.decompose_extremal(h)
+        h1 = pair.h1.copy()
+        h2 = pair.h2.copy()
+        # both parts skew by 1.5 * TOL * max|h1|: beyond h1's own bound, within
+        # tol * max|h| from tol = 1e-10 on; the sum still holds
+        skew = 1.5 * linalg.TOL * np.max(np.abs(h1))
+        h1[0, 1] += skew
+        h2[0, 1] -= skew
+        # h2 skews by 1.6 * tol * max|h| more, beyond tol * max|h|, and the sum
+        # moves by 0.8 * tol * max|h|, within it
+        h2[0, 0] += 0.8j * tol * np.max(np.abs(h))
+        broken = ck.DecompositionPair(h1=h1, h2=h2, k1=pair.k1, k2=pair.k2,
+                                      c=pair.c, y1=pair.y1, z1=pair.z1)
+        cert = ck.verify_decomposition(h, broken, tol=tol)
+        assert not cert.passed
+        assert cert.detail == cert.witness == "hermitian(h1)"
 
     def test_nan_part_fails_the_sum(self):
         h = ck.example_family(0.5)
