@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .certificate import FAIL, PASS, Certificate
-from .errors import NonFiniteEntryError, NotHermitianError, NotUnitVectorError
+from .errors import ChoiKitError, NonFiniteEntryError, NotHermitianError, NotUnitVectorError
 
 TOL = 1e-10
 
@@ -69,8 +69,10 @@ def require_below(resid: float, bound: float, label: str, error: type[Exception]
 
 
 def require_hermitian(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """(Symmetrized m, max|m|), or raise if m - m* exceeds TOL * max|m| anywhere."""
+    """(Symmetrized m, max|m|); raises if m - m* exceeds TOL * max|m| anywhere or 8 max|m|**3 overflows."""
     scale = maxabs(m)
+    if not 8.0 * scale * scale * scale < np.inf:  # bounds a 3x3 minor's terms; ** would raise
+        raise ChoiKitError(f"entries up to {scale:.3e} in modulus are too large: their cubes overflow")
     require_below(hermitian_residual(m), TOL * scale, "hermiticity", NotHermitianError)
     return 0.5 * (m + m.conj().T), scale
 

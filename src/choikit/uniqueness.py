@@ -118,11 +118,13 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
     points, so the resolution mostly sets the alternates threshold.
     CP1 and CcP1 (on a1, u1) go first on the (a1, u1) grid pairs and the
     samples, then CP3 and CcP3 (on a1, b1, c) on the survivors, and all 14
-    on what is left, so memory holds one block of at most 7**5 grid rows or
-    one sample chunk.  Samples are raw uniforms on [0, 1) in one reused
-    8192 x 7 buffer; each stage scales (Generator.uniform's arithmetic) only
-    the columns it reads of the rows that reach it, so the samples are
-    those of default_rng(seed).uniform over each box at any chunk size.
+    on each grid block of at most 7**5 rows and on sample survivors in
+    batches of 8192 or more.  Samples are raw uniforms on [0, 1) in one
+    reused 8192 x 7 buffer; each stage scales (Generator.uniform's
+    arithmetic) only the columns it reads of the rows that reach it, so the
+    samples are those of default_rng(seed).uniform over each box at any
+    chunk size.  Each feasible point is stored with its distance to the
+    canonical one, 8 floats (about 8 MB at u = 0 with 1e6 samples).
     Feasible candidates farther than 10 * resolution from the canonical one
     are listed as alternates, farthest first, capped at 32 entries;
     feasible_count and diameter (the exact max-coordinate spread of every
@@ -150,24 +152,37 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
         c2 = abs(cr + 1j * ci) ** 2
         return (a1 * b1 - c2 >= -tol) & ((1.0 - a1) * ((1.0 - u) - b1) - c2 >= -tol)
 
-    def feasible_of(cols: np.ndarray) -> np.ndarray:
-        return cols[:, np.logical_and.reduce([m >= -tol for m in _constraint_margins(u, y, z, t, cols.T)])]
-
+    # feasible columns and their distances to cvec; the local grid's centre can land ulps off it
     kept: list[np.ndarray] = [cvec[:, None]]
+    dists: list[np.ndarray] = [np.zeros(1)]
+
+    def keep(cols: np.ndarray) -> None:
+        ok = np.logical_and.reduce([m >= -tol for m in _constraint_margins(u, y, z, t, cols.T)])
+        cols = cols if ok.all() else cols[:, ok]
+        dist = np.abs(cols[0] - cvec[0])
+        for row, centre in zip(cols[1:], cvec[1:]):
+            np.maximum(dist, np.abs(row - centre), out=dist)
+        snap = dist <= tol
+        if snap.any():  # their distances are never read: column 0 is cvec and comes first
+            cols[:, snap] = cvec[:, None]
+        kept.append(cols)
+        dists.append(dist)
+
     grid_points = 0
     for blo, bhi in boxes:
         axes = [_axis_points(float(a), float(b), resolution) for a, b in zip(blo, bhi)]
         grid_points += int(np.prod([len(ax) for ax in axes]))
         a1, u1 = (m.ravel() for m in np.meshgrid(axes[0], axes[2], indexing="ij"))
-        keep = cp1_ccp1(a1, u1)
-        for pa, pu in zip(a1[keep], u1[keep]):
+        pairs = cp1_ccp1(a1, u1)
+        for pa, pu in zip(a1[pairs], u1[pairs]):
             block = np.stack([m.ravel() for m in np.meshgrid(pa, axes[1], pu, *axes[3:], indexing="ij")])
-            kept.append(feasible_of(block[:, cp3_ccp3(*block[[0, 1, 5, 6]])]))
+            keep(block[:, cp3_ccp3(*block[[0, 1, 5, 6]])])
 
     # blo + span * U is Generator.uniform(blo, bhi)'s own arithmetic, so the
     # samples are its samples, scaled only where a stage needs them
     rng = np.random.default_rng(seed)
     buf = np.empty((_CHUNK, 7))
+    pending: list[np.ndarray] = []
     for count, (blo, bhi) in zip((samples // 2, samples - samples // 2), boxes):
         span = bhi - blo
         for start in range(0, count, _CHUNK):
@@ -175,29 +190,32 @@ def uniqueness_search(h, radius: float = 0.2, resolution: float = 1e-2,
             a1 = blo[0] + span[0] * draw[:, 0]
             idx = np.flatnonzero(cp1_ccp1(a1, blo[2] + span[2] * draw[:, 2]))
             if idx.size:  # away from u = 0 most chunks end here
-                idx = idx[cp3_ccp3(a1[idx], *(blo[j] + span[j] * draw[:, j][idx] for j in (1, 5, 6)))]
-                kept.append(feasible_of(blo[:, None] + np.multiply(span[:, None], draw[idx].T, order="C")))
+                rows = slice(None) if idx.size == len(draw) else idx  # on u = 0 every row passes
+                idx = idx[cp3_ccp3(a1[rows], *(blo[j] + span[j] * draw[:, j][rows] for j in (1, 5, 6)))]
+                pending.append(blo[:, None] + np.multiply(span[:, None], draw[idx].T, order="C"))
+            if sum(cols.shape[1] for cols in pending) >= _CHUNK:
+                keep(np.hstack(pending))
+                pending = []
+    if pending:
+        keep(np.hstack(pending))
 
-    # the local grid's centre can land a few ulps off the canonical split
     found = np.hstack(kept)
-    distances = np.max(np.abs(found - cvec[:, None]), axis=0)
-    found[:, distances <= tol] = cvec[:, None]
-    distances[distances <= tol] = 0.0
+    kept.clear()
+    distances = np.concatenate(dists)
     first = _first_distinct(found)
-    feasible, distances = found[:, first], distances[first]
-    diameter = float(np.max(np.max(feasible, axis=1) - np.min(feasible, axis=1)))
-    far = np.flatnonzero(distances > 10.0 * resolution)
+    diameter = float(np.max(np.max(found, axis=1) - np.min(found, axis=1)))  # dedup keeps each min, max
+    far = first[distances[first] > 10.0 * resolution]
     if len(far) > _ALTERNATES_CAP:  # keep the cap-th largest distance and its ties
         far = far[distances[far] >= np.partition(distances[far], -_ALTERNATES_CAP)[-_ALTERNATES_CAP]]
-    far = far[np.lexsort(np.vstack([feasible[::-1, far], -distances[far]]))]
+    far = far[np.lexsort(np.vstack([found[::-1, far], -distances[far]]))]
     alternates = tuple(
-        (SplitCandidate.from_vector(feasible[:, i]), float(distances[i]))
+        (SplitCandidate.from_vector(found[:, i]), float(distances[i]))
         for i in far[:_ALTERNATES_CAP]
     )
     return FeasibilityReport(
         canonical=canon,
         alternates=alternates,
-        feasible_count=int(feasible.shape[1]),
+        feasible_count=int(first.size),
         diameter=diameter,
         radius=float(radius),
         resolution=float(resolution),

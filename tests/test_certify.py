@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import choikit as ck
 from choikit import certify, choi, linalg
 from choikit.certificate import FAIL, PASS, Certificate
-from choikit.errors import NotCanonicalFormError, NotHermitianError
+from choikit.errors import ChoiKitError, NotCanonicalFormError, NotHermitianError
 
 from conftest import (haar_unitary, random_canonical_matrix, random_hermitian, random_mixture,
                       random_unitary_conjugation_choi)
@@ -403,6 +403,16 @@ class TestCanonicalConditions:
         m[2, 2] = 1.0  # the (2,2) slot must be zero in the canonical pattern
         with pytest.raises(NotCanonicalFormError):
             ck.canonical_cp_conditions(m)
+
+    @pytest.mark.parametrize("check", [
+        ck.canonical_cp_conditions, ck.canonical_ccp_conditions, ck.face_form_inequalities,
+        ck.validate_extremal, ck.block_positive, ck.cp_check, ck.ccp_check])
+    def test_entries_whose_cubes_overflow_raise_a_choikit_error(self, check):
+        # unguarded, abs(y) ** 2 of 1e300 raises OverflowError; below ~2.8e102 the cubes fit
+        h = ck.degenerate_case("z_zero", y=0.5)
+        check(1e100 * h)
+        with pytest.raises(ChoiKitError, match=r"entries up to 1\.000e\+300 in modulus"):
+            check(1e300 * h)
 
     def test_equivalence_with_psd_checks(self):
         rng = np.random.default_rng(24)

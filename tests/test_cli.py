@@ -299,6 +299,24 @@ class TestMalformedInput:
         assert cli.main(["certify", str(path)]) == 2
         assert "error: maximum recursion depth exceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrix, argv", [
+        (1e300 * ck.degenerate_case("z_zero", y=0.5), ["certify", "{path}", "--canonical-cp"]),
+        (1e300 * ck.degenerate_case("z_zero", y=0.5), ["decompose", "{path}"]),
+        (1e300 * ck.degenerate_case("z_zero", y=0.5), ["explore", "{path}", "--samples", "10"]),
+        (1.7e308 * np.eye(4), ["certify", "{path}"]),
+    ], ids=["certify-canonical-cp", "decompose", "explore", "certify"])
+    def test_entries_whose_cubes_overflow_exit_2_naming_the_scale(
+            self, tmp_path, capsys, matrix, argv):
+        # unguarded, a cube of 1e300 raises OverflowError (a traceback, exit 1), and
+        # 1.7e308 * I overflows block_positive's Pauli table into a LinAlgError
+        path = tmp_path / "m.json"
+        write_matrix(path, matrix)
+        assert cli.main([a.format(path=path) for a in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: entries up to {np.abs(matrix).max():.3e} in modulus "
+                           "are too large: their cubes overflow\n")
+
     def test_a_resolution_too_small_for_the_grid_count_gives_the_capped_grid(
             self, tmp_path, capsys):
         # span / 1e-320 overflows a float; every such resolution gives 7 points an axis
