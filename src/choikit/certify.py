@@ -28,33 +28,34 @@ _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1,
 _MAX_STEPS = 100  # a safety stop; converged inputs stop after a handful of steps
 
 
-def _sphere_argmin(alpha, gamma):
-    """Unit x minimising sum_i alpha_i x_i^2 + 2 gamma_i x_i, alpha ascending.
+def _sphere_argmin(delta, gamma):
+    """Unit x minimising sum_i delta_i x_i^2 + 2 gamma_i x_i, delta ascending from 0.
 
-    x = -gamma / (alpha - alpha_0 + s) with s >= 0 the root of the secular
-    equation |x(s)| = 1 (Gander, Golub & von Matt 1989).  Newton's method on
+    x = -gamma / (delta + s) with s >= 0 the root of the secular equation
+    |x(s)| = 1 (Gander, Golub & von Matt 1989).  Newton's method on
     1 - 1/|x(s)|, which is convex and decreasing (More & Sorensen 1983),
     climbs to that root from a start where |x| >= 1 and stops when it no
     longer moves.  If |x(0)| <= 1 (the hard case) s = 0 and x is completed
-    along the bottom eigenvector.
+    along the bottom eigenvector.  Dots call ndarray.dot: the BLAS ddot of @,
+    with less dispatch.
     """
-    delta = alpha - alpha[0]
+    ds, gs = delta.tolist(), gamma.tolist()
     # where gamma_i = 0 the denominator is 1 + s, so x_i = -gamma_i even where delta_i + s = 0
-    shifted, neg = np.where(gamma != 0.0, delta, 1.0), -gamma
-    s = max(0.0, float((np.abs(gamma) - delta).max()))
+    shifted, neg = np.array([d if g != 0.0 else 1.0 for d, g in zip(ds, gs)]), -gamma
+    s = max(0.0, *[abs(g) - d for d, g in zip(ds, gs)])
     for _ in range(_MAX_STEPS):
         den = shifted + s
         x = neg / den
-        norm2 = float(x @ x)
+        norm2 = float(x.dot(x))
         if not norm2 > 1.0:
             break
-        s_next = s + norm2 * (math.sqrt(norm2) - 1.0) / float(x @ (x / den))
+        s_next = s + norm2 * (math.sqrt(norm2) - 1.0) / float(x.dot(x / den))
         if not s_next > s:
             break
         s = s_next
     if s == 0.0:
         x[0] = math.sqrt(max(0.0, 1.0 - norm2))
-    return x / math.sqrt(x @ x)  # np.linalg.norm's own sqrt(x.dot(x)), one BLAS call
+    return x / math.sqrt(x.dot(x))  # np.linalg.norm's own sqrt(x.dot(x)), one BLAS call
 
 
 def block_positive(h, tol: float = linalg.TOL) -> Certificate:
@@ -81,14 +82,15 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
     r = np.einsum("aji,blk,ikjl->ab", _PAULI, _PAULI, harr.reshape(2, 2, 2, 2)).real
     p, q, pm = r[0, 1:], r[1:, 0], r[1:, 1:]
     alpha, basis = np.linalg.eigh(np.outer(p, p) - pm.T @ pm)
-    along_p, fixed = basis.T @ p, basis.T @ (pm.T @ q)
-    margin = 0.25 * float(r[0, 0] - np.linalg.norm(p))
+    delta, along_p, fixed = alpha - alpha[0], basis.T @ p, basis.T @ (pm.T @ q)
+    r00 = float(r[0, 0])
+    margin = 0.25 * float(r00 - np.linalg.norm(p))
     b = np.ones(4)
     for _ in range(_MAX_STEPS):
-        b[1:] = bloch = basis @ _sphere_argmin(alpha, (r[0, 0] - 4.0 * margin) * along_p - fixed)
-        rb = r @ b
+        b[1:] = bloch = basis.dot(_sphere_argmin(delta, (r00 - 4.0 * margin) * along_p - fixed))
+        rb = r @ b  # not r.dot(b): r is a strided view, where the two round differently
         v = rb[1:]
-        lowest = 0.25 * float(rb[0] - math.sqrt(v @ v))
+        lowest = 0.25 * float(rb[0] - math.sqrt(v.dot(v)))
         if not lowest < margin:
             break
         margin = lowest

@@ -7,6 +7,8 @@ the one default tolerance; scaled_tol makes it relative to a matrix's scale.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .certificate import FAIL, PASS, Certificate
@@ -69,10 +71,13 @@ def require_below(resid: float, bound: float, label: str, error: type[Exception]
 
 
 def require_hermitian(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """(Symmetrized m, max|m|); raises if m - m* exceeds TOL * max|m| anywhere or 8 max|m|**3 overflows."""
+    """(Symmetrized m, max|m|); raises if m - m* exceeds TOL * max|m| anywhere, if
+    8 max|m|**3 overflows, or if a nonzero max|m|**3 is below the normal floats."""
     scale = maxabs(m)
     if not 8.0 * scale * scale * scale < np.inf:  # bounds a 3x3 minor's terms; ** would raise
         raise ChoiKitError(f"entries up to {scale:.3e} in modulus are too large: their cubes overflow")
+    if 0.0 < scale and scale * scale * scale < sys.float_info.min:  # where the minors round to 0
+        raise ChoiKitError(f"entries up to {scale:.3e} in modulus are too small: their cubes underflow")
     require_below(hermitian_residual(m), TOL * scale, "hermiticity", NotHermitianError)
     return 0.5 * (m + m.conj().T), scale
 
@@ -95,9 +100,9 @@ def psd_check(m, tol: float = TOL) -> Certificate:
     """Certify positive semidefiniteness of a Hermitian matrix.
 
     PASS iff the smallest eigenvalue is >= -tol * max|m|, so alpha * m gets
-    the verdict of m.  The margin is that eigenvalue; on FAIL the witness is
-    a unit eigenvector w with <w, m w> equal to it.  Raises NotHermitianError
-    if require_hermitian does, whatever tol is.
+    the verdict of m wherever require_hermitian accepts both.  The margin is
+    that eigenvalue; on FAIL the witness is a unit eigenvector w with
+    <w, m w> equal to it.  Raises as require_hermitian does, whatever tol is.
     """
     arr, scale = require_hermitian(as_matrix(m))
     w, vecs = np.linalg.eigh(arr)

@@ -146,6 +146,16 @@ class TestBlockPositive:
             assert abs(cert.margin / scale + gap) <= 1e-12
             assert cert.passed == (gap <= 0.0)
 
+    @pytest.mark.parametrize("check", [ck.block_positive, ck.cp_check, ck.ccp_check])
+    def test_a_tiny_negative_direction_is_refused_not_passed(self, check):
+        # unguarded, block_positive PASSes diag(1, -1, 1, 1) * 1e-170 with margin 5e-171
+        h = np.diag([1.0, -1.0, 1.0, 1.0])
+        cert = check(1e-100 * h)
+        assert (cert.verdict, cert.margin) == ("FAIL", pytest.approx(-1e-100, rel=1e-12))
+        with pytest.raises(ChoiKitError, match=r"are too small: their cubes underflow"):
+            check(1e-170 * h)
+        assert check(np.zeros((4, 4))).passed
+
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_margin_is_invariant_under_unitary_conjugation(self, seed):
@@ -232,7 +242,8 @@ def _reference_block_positive(h, tol=linalg.TOL):
 def oracle_corpus() -> list:
     """Random Hermitian matrices at scales 1e-9..1e9 and their partial
     transposes, Gram (CP) matrices of rank 1 and 2 and theirs, the example family shifted by
-    +-1e-6 I and scaled by 1e6, the boundary cases, +-I, 0 and a diagonal."""
+    +-1e-6 I and scaled by 1e6, the boundary cases, twenty inputs Hermitian only to within
+    rounding, four dyadic Pauli tables, +-I, 0 and a diagonal."""
     rng = np.random.default_rng(2024)
     corpus = []
     for k in range(120):
@@ -244,6 +255,18 @@ def oracle_corpus() -> list:
         corpus += [h, h + 1e-6 * np.eye(4), h - 1e-6 * np.eye(4), 1e6 * h]
     corpus += [ck.degenerate_case("u_zero"), ck.degenerate_case("y_zero", z=0.5),
                ck.degenerate_case("z_zero", y=0.5)]
+    # Hermitian only to within rounding, as after a local unitary conjugation
+    noise = np.random.default_rng(2025)
+    for h in corpus[:80:4]:
+        skew = noise.normal(size=(4, 4)) + 1j * noise.normal(size=(4, 4))
+        corpus.append(h + 1e-13 * np.abs(h).max() * skew)
+    # Dyadic Pauli tables, exact in h and back.  The quadratic form -pm.T @ pm is diagonal
+    # with bottom axis 3, where p_3 = q_3 = 0 gives gamma_0 = 0 exactly under any BLAS
+    # kernel, and |x(0)| > 1: the 0 / 0 of a dead entry outside the hard case.
+    for r00, p1 in ((4.0, 0.0), (4.0, 0.25), (1.0, 0.0), (1.0, 0.25)):
+        r = np.diag([r00, 0.5, 0.5, 1.0])
+        r[0, 1], r[1:3, 0] = p1, 1.25
+        corpus.append(0.25 * np.einsum("ab,aij,bkl->ikjl", r, _REF_PAULI, _REF_PAULI).reshape(4, 4))
     return corpus + [np.eye(4), -np.eye(4), np.zeros((4, 4)), np.diag([1.0, -2.0, 3.0, 0.5])]
 
 
@@ -274,6 +297,18 @@ class TestBlockPositiveOracle:
         assert 0 < hard < zero_den
 
 class TestCpCcp:
+    def test_bits_equal_column_0_of_the_symmetrized_eigendecomposition(self):
+        # pins the bytes through any trim of the input validation in front of eigh
+        for h in oracle_corpus():
+            m = np.array(h, dtype=np.complex128)
+            swapped = m.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+            for check, mat in ((ck.cp_check, m), (ck.ccp_check, swapped)):
+                w, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+                cert = check(h)
+                assert np.float64(cert.margin).tobytes() == w[0].tobytes()
+                want = None if cert.passed else vecs[:, 0].tobytes()
+                assert (None if cert.witness is None else cert.witness.tobytes()) == want
+
     def test_cp_degenerate_matrix_passes(self):
         assert ck.cp_check(ck.degenerate_case("z_zero", y=0.5)).passed
 
@@ -413,6 +448,19 @@ class TestCanonicalConditions:
         check(1e100 * h)
         with pytest.raises(ChoiKitError, match=r"entries up to 1\.000e\+300 in modulus"):
             check(1e300 * h)
+
+    @pytest.mark.parametrize("check", [
+        ck.canonical_cp_conditions, ck.canonical_ccp_conditions, ck.face_form_inequalities,
+        ck.validate_extremal, ck.block_positive, ck.cp_check, ck.ccp_check])
+    def test_entries_whose_cubes_underflow_raise_a_choikit_error(self, check):
+        # unguarded, the 3x3 minors of 1e-110 round to 0; above ~2.8e-103 the cubes are normal
+        h = ck.degenerate_case("z_zero", y=0.5)
+        cert = check(1e-100 * h)
+        if check is not ck.validate_extremal:  # its relations hold at a = 1 only
+            assert cert.verdict == check(h).verdict
+        with pytest.raises(ChoiKitError, match=r"entries up to 1\.000e-110 in modulus "
+                                               r"are too small: their cubes underflow"):
+            check(1e-110 * h)
 
     def test_equivalence_with_psd_checks(self):
         rng = np.random.default_rng(24)

@@ -317,6 +317,34 @@ class TestMalformedInput:
         assert out.err == (f"error: entries up to {np.abs(matrix).max():.3e} in modulus "
                            "are too large: their cubes overflow\n")
 
+    @pytest.mark.parametrize("matrix, argv", [
+        (1e-170 * np.diag([1.0, -1.0, 1.0, 1.0]), ["certify", "{path}"]),
+        (1e-110 * ck.degenerate_case("z_zero", y=0.5), ["certify", "{path}", "--canonical-cp"]),
+        (1e-110 * ck.degenerate_case("z_zero", y=0.5), ["decompose", "{path}"]),
+        (1e-110 * ck.degenerate_case("z_zero", y=0.5), ["explore", "{path}", "--samples", "10"]),
+    ], ids=["certify", "certify-canonical-cp", "decompose", "explore"])
+    def test_entries_whose_cubes_underflow_exit_2_naming_the_scale(
+            self, tmp_path, capsys, matrix, argv):
+        # unguarded, certify reports positive PASS with margin 5e-171 on the first
+        # input, whose true minimum is -1e-170
+        path = tmp_path / "m.json"
+        write_matrix(path, matrix)
+        assert cli.main([a.format(path=path) for a in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: entries up to {np.abs(matrix).max():.3e} in modulus "
+                           "are too small: their cubes underflow\n")
+
+    def test_entries_whose_cubes_fit_keep_the_unscaled_report(self, tmp_path, capsys):
+        reports = []
+        for scale in (1.0, 1e-100):
+            path = tmp_path / "m.json"
+            write_matrix(path, scale * np.diag([1.0, -1.0, 1.0, 1.0]))
+            assert cli.main(["certify", str(path)]) == 1
+            reports.append(json.loads(capsys.readouterr().out)["results"]["checks"])
+        assert {k: c["verdict"] for k, c in reports[1].items()} == \
+            {k: c["verdict"] for k, c in reports[0].items()}
+
     def test_a_resolution_too_small_for_the_grid_count_gives_the_capped_grid(
             self, tmp_path, capsys):
         # span / 1e-320 overflows a float; every such resolution gives 7 points an axis
