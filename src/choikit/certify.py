@@ -78,13 +78,14 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
     >= -tol * max|h|; on FAIL the witness is the direction minimising the
     determinant at the final m, and its compressed 2x2 matrix.
     """
-    harr, scale = linalg.require_hermitian(linalg.as_matrix(h, 4))
+    harr, scale = linalg.require_hermitian(h, 4)
     r = np.einsum("aji,blk,ikjl->ab", _PAULI, _PAULI, harr.reshape(2, 2, 2, 2)).real
     p, q, pm = r[0, 1:], r[1:, 0], r[1:, 1:]
     alpha, basis = np.linalg.eigh(np.outer(p, p) - pm.T @ pm)
     delta, along_p, fixed = alpha - alpha[0], basis.T @ p, basis.T @ (pm.T @ q)
-    r00 = float(r[0, 0])
-    margin = 0.25 * float(r00 - np.linalg.norm(p))
+    # np.linalg.norm(p)'s own steps, so its bits: a contiguous copy of the strided p, dot, sqrt
+    r00, pc = float(r[0, 0]), p.ravel()
+    margin = 0.25 * (r00 - math.sqrt(pc.dot(pc)))
     b = np.ones(4)
     for _ in range(_MAX_STEPS):
         b[1:] = bloch = basis.dot(_sphere_argmin(delta, (r00 - 4.0 * margin) * along_p - fixed))
@@ -106,14 +107,13 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
 
 def cp_check(h, tol: float = linalg.TOL) -> Certificate:
     """Complete positivity: PSD test of the Choi matrix itself."""
-    cert = linalg.psd_check(linalg.as_matrix(h, 4), tol=tol)
-    return Certificate(cert.verdict, cert.margin, cert.witness, "lambda_min(choi)")
+    return linalg._psd_certificate(*linalg.require_hermitian(h, 4), tol, "lambda_min(choi)")
 
 
 def ccp_check(h, tol: float = linalg.TOL) -> Certificate:
     """Complete copositivity: PSD test of the partially transposed matrix."""
-    cert = linalg.psd_check(choi.partial_transpose(h), tol=tol)
-    return Certificate(cert.verdict, cert.margin, cert.witness, "lambda_min(partial transpose)")
+    hs, scale = linalg.require_hermitian(h, 4)
+    return linalg._psd_certificate(choi._swap_blocks(hs), scale, tol, "lambda_min(partial transpose)")
 
 
 def face_membership(h, xi, eta, tol: float = linalg.TOL) -> Certificate:
@@ -146,7 +146,7 @@ def canonical_coefficients(h) -> CanonicalCoefficients:
     NotCanonicalFormError if any fixed zero position is violated beyond
     linalg.TOL * max|h|.
     """
-    hs, scale = linalg.require_hermitian(linalg.as_matrix(h, 4))
+    hs, scale = linalg.require_hermitian(h, 4)
     linalg.require_below(max(abs(hs[0, 2]), abs(hs[2, 2]), abs(hs[2, 3])), linalg.TOL * scale,
                          "off-pattern", NotCanonicalFormError)
     return CanonicalCoefficients(

@@ -165,7 +165,7 @@ def verify_decomposition(h, pair: DecompositionPair, tol: float = linalg.TOL) ->
     harr = linalg.as_matrix(h, 4)
     parts = (("h1", pair.h1), ("h2", pair.h2))
     margins = [("sum", -linalg.maxabs(pair.h1 + pair.h2 - harr))]
-    skews = [(linalg.hermitian_residual(p), linalg.scaled_tol(p, linalg.TOL)) for _, p in parts]
+    skews = [(linalg.maxabs(p - p.conj().T), linalg.scaled_tol(p, linalg.TOL)) for _, p in parts]
     margins += [(f"hermitian({name})", -skew) for (name, _), (skew, _) in zip(parts, skews)]
     bound = linalg.scaled_tol(harr, tol)
     bounds = [bound] + [min(bound, limit) for _, limit in skews]

@@ -17,13 +17,19 @@ from .errors import ChoiKitError, NonFiniteEntryError, NotHermitianError, NotUni
 TOL = 1e-10
 
 
-def as_matrix(m, size: int | None = None) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting NaN/Inf entries."""
+def _square(m, size: int | None) -> np.ndarray:
+    """m as a new complex array; ValueError unless it is a square (size x size) matrix."""
     arr = np.array(m, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if size is not None and arr.shape != (size, size):
         raise ValueError(f"expected a {size}x{size} matrix, got shape {arr.shape}")
+    return arr
+
+
+def as_matrix(m, size: int | None = None) -> np.ndarray:
+    """Coerce to a square complex matrix, rejecting NaN/Inf entries."""
+    arr = _square(m, size)
     if not np.isfinite(arr).all():
         raise NonFiniteEntryError("matrix contains NaN or Inf entries")
     return arr
@@ -59,27 +65,28 @@ def scaled_tol(m, tol: float, degree=1):
     return tol_bound(tol, maxabs(m), degree)
 
 
-def hermitian_residual(m) -> float:
-    arr = np.asarray(m)
-    return maxabs(arr - arr.conj().T)
-
-
 def require_below(resid: float, bound: float, label: str, error: type[Exception]) -> None:
     """Raise error, naming label and both numbers, if resid exceeds bound."""
     if resid > bound:
         raise error(f"{label} residual {resid:.3e} exceeds tol {bound:.3e}")
 
 
-def require_hermitian(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """(Symmetrized m, max|m|); raises if m - m* exceeds TOL * max|m| anywhere, if
-    8 max|m|**3 overflows, or if a nonzero max|m|**3 is below the normal floats."""
-    scale = maxabs(m)
-    if not 8.0 * scale * scale * scale < np.inf:  # bounds a 3x3 minor's terms; ** would raise
+def require_hermitian(m, size: int | None = None) -> tuple[np.ndarray, float]:
+    """(Symmetrized m, max|m|) of m coerced as by as_matrix.  Raises, in this order, unless m
+    is a nonempty square (size x size) matrix, if an entry is NaN or Inf, if 8 max|m|**3
+    overflows, if a nonzero max|m|**3 is below the normal floats, or if m - m* exceeds TOL * max|m|."""
+    arr = _square(m, size)
+    if not arr.size:
+        raise ValueError(f"expected a nonempty square matrix, got shape {arr.shape}")
+    scale = float(np.abs(arr).max())
+    if not 8.0 * scale * scale * scale < np.inf:  # bounds a 3x3 minor's terms; NaN and Inf fail too
+        as_matrix(arr)  # raises NonFiniteEntryError for NaN or Inf entries
         raise ChoiKitError(f"entries up to {scale:.3e} in modulus are too large: their cubes overflow")
     if 0.0 < scale and scale * scale * scale < sys.float_info.min:  # where the minors round to 0
         raise ChoiKitError(f"entries up to {scale:.3e} in modulus are too small: their cubes underflow")
-    require_below(hermitian_residual(m), TOL * scale, "hermiticity", NotHermitianError)
-    return 0.5 * (m + m.conj().T), scale
+    mh = arr.conj().T
+    require_below(float(np.abs(arr - mh).max()), TOL * scale, "hermiticity", NotHermitianError)
+    return 0.5 * (arr + mh), scale
 
 
 def unitarity_residual(m) -> float:
@@ -104,12 +111,15 @@ def psd_check(m, tol: float = TOL) -> Certificate:
     that eigenvalue; on FAIL the witness is a unit eigenvector w with
     <w, m w> equal to it.  Raises as require_hermitian does, whatever tol is.
     """
-    arr, scale = require_hermitian(as_matrix(m))
-    w, vecs = np.linalg.eigh(arr)
+    return _psd_certificate(*require_hermitian(m), tol, "lambda_min")
+
+
+def _psd_certificate(hs: np.ndarray, scale: float, tol: float, detail: str) -> Certificate:
+    w, vecs = np.linalg.eigh(hs)
     lam = float(w[0])
     if lam >= -tol_bound(tol, scale):
-        return Certificate(PASS, lam, detail="lambda_min")
-    return Certificate(FAIL, lam, witness=vecs[:, 0].copy(), detail="lambda_min")
+        return Certificate(PASS, lam, detail=detail)
+    return Certificate(FAIL, lam, witness=vecs[:, 0].copy(), detail=detail)
 
 
 def rank_estimate(m) -> int:

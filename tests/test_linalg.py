@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 import choikit as ck
 from choikit import linalg
-from choikit.errors import NonFiniteEntryError, NotHermitianError, NotUnitVectorError
+from choikit.certificate import PASS, Certificate
+from choikit.errors import (ChoiKitError, NonFiniteEntryError, NotHermitianError,
+                            NotUnitVectorError)
 
 from conftest import assert_rank_one_by_minors, rand_unit_vector
 
@@ -77,6 +79,59 @@ class TestFiniteness:
             linalg.as_matrix(m)
         with pytest.raises(NonFiniteEntryError, match="^vector contains NaN or Inf entries$"):
             linalg.as_vector([1.0, bad])
+
+
+def _with_entry(value) -> np.ndarray:
+    m = np.eye(4, dtype=complex)
+    m[1, 2], m[2, 1] = value, np.conj(value)
+    return m
+
+
+_NON_HERMITIAN = np.eye(4, dtype=complex)
+_NON_HERMITIAN[0, 1] = 1.0
+_TOO_LARGE = "in modulus are too large: their cubes overflow"
+# (input, exception type, message), in the guard order shape -> finite -> scale -> hermiticity
+VALIDATION_CASES = {
+    "nan": (_with_entry(complex(float("nan"), 0.0)), NonFiniteEntryError,
+            "matrix contains NaN or Inf entries"),
+    "inf": (_with_entry(complex(float("inf"), 0.0)), NonFiniteEntryError,
+            "matrix contains NaN or Inf entries"),
+    "modulus-overflows": (_with_entry(1.5e308 * (1 + 1j)), ChoiKitError,
+                          f"entries up to inf {_TOO_LARGE}"),
+    "cubes-overflow": (1e103 * np.eye(4), ChoiKitError, f"entries up to 1.000e+103 {_TOO_LARGE}"),
+    "cubes-underflow": (1e-110 * np.eye(4), ChoiKitError,
+                        "entries up to 1.000e-110 in modulus are too small: their cubes underflow"),
+    "non-hermitian": (_NON_HERMITIAN, NotHermitianError,
+                      "hermiticity residual 1.000e+00 exceeds tol 1.000e-10"),
+    "3x3": (np.eye(3), ValueError, "expected a 4x4 matrix, got shape (3, 3)"),
+}
+VALIDATED_CHECKS = ("block_positive", "cp_check", "ccp_check", "psd_check",
+                    "canonical_cp_conditions", "canonical_ccp_conditions",
+                    "face_form_inequalities", "validate_extremal")
+
+
+class TestValidationContract:
+    @pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+    @pytest.mark.parametrize("name", VALIDATED_CHECKS)
+    def test_each_check_raises_the_same_error_in_the_same_words(self, name, case):
+        matrix, error, message = VALIDATION_CASES[case]
+        if (name, case) == ("psd_check", "3x3"):  # psd_check takes any square matrix
+            assert getattr(ck, name)(matrix) == Certificate(PASS, 1.0, detail="lambda_min")
+            return
+        with pytest.raises(error) as exc:
+            getattr(ck, name)(matrix)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((0, 0), "expected a nonempty square matrix, got shape (0, 0)"),
+        ((4, 0), "expected a square matrix, got shape (4, 0)"),
+        ((0,), "expected a square matrix, got shape (0,)"),
+    ])
+    def test_psd_check_refuses_an_empty_matrix_with_a_value_error(self, shape, message):
+        # (0, 0) once reached eigh and failed reading w[0] with an IndexError
+        with pytest.raises(ValueError) as exc:
+            ck.psd_check(np.zeros(shape))
+        assert (type(exc.value), str(exc.value)) == (ValueError, message)
 
 
 FAMILY = ck.example_family(0.5)
