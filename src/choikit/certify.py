@@ -83,8 +83,7 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
     p, q, pm = r[0, 1:], r[1:, 0], r[1:, 1:]
     alpha, basis = np.linalg.eigh(np.outer(p, p) - pm.T @ pm)
     delta, along_p, fixed = alpha - alpha[0], basis.T @ p, basis.T @ (pm.T @ q)
-    # np.linalg.norm(p)'s own steps, so its bits: a contiguous copy of the strided p, dot, sqrt
-    r00, pc = float(r[0, 0]), p.ravel()
+    r00, pc = float(r[0, 0]), p.ravel()  # np.linalg.norm(p)'s steps and bits: copy, dot, sqrt
     margin = 0.25 * (r00 - math.sqrt(pc.dot(pc)))
     b = np.ones(4)
     for _ in range(_MAX_STEPS):
@@ -107,13 +106,15 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
 
 def cp_check(h, tol: float = linalg.TOL) -> Certificate:
     """Complete positivity: PSD test of the Choi matrix itself."""
-    return linalg._psd_certificate(*linalg.require_hermitian(h, 4), tol, "lambda_min(choi)")
+    cert = linalg.psd_check(linalg._square(h, 4), tol=tol)  # psd_check checks the entries
+    return Certificate(cert.verdict, cert.margin, cert.witness, "lambda_min(choi)")
 
 
 def ccp_check(h, tol: float = linalg.TOL) -> Certificate:
     """Complete copositivity: PSD test of the partially transposed matrix."""
-    hs, scale = linalg.require_hermitian(h, 4)
-    return linalg._psd_certificate(choi._swap_blocks(hs), scale, tol, "lambda_min(partial transpose)")
+    pt = linalg._square(h, 4).reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)  # the block swap
+    cert = linalg.psd_check(pt, tol=tol)  # checks pt's entries, which fail where h's do
+    return Certificate(cert.verdict, cert.margin, cert.witness, "lambda_min(partial transpose)")
 
 
 def face_membership(h, xi, eta, tol: float = linalg.TOL) -> Certificate:

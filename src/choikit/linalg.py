@@ -27,12 +27,15 @@ def _square(m, size: int | None) -> np.ndarray:
     return arr
 
 
+def _finite(arr: np.ndarray, kind: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise NonFiniteEntryError(f"{kind} contains NaN or Inf entries")
+    return arr
+
+
 def as_matrix(m, size: int | None = None) -> np.ndarray:
     """Coerce to a square complex matrix, rejecting NaN/Inf entries."""
-    arr = _square(m, size)
-    if not np.isfinite(arr).all():
-        raise NonFiniteEntryError("matrix contains NaN or Inf entries")
-    return arr
+    return _finite(_square(m, size), "matrix")
 
 
 def as_vector(v, size: int = 2) -> np.ndarray:
@@ -40,9 +43,7 @@ def as_vector(v, size: int = 2) -> np.ndarray:
     arr = np.array(v, dtype=np.complex128).reshape(-1)
     if arr.shape != (size,):
         raise ValueError(f"expected a vector of length {size}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteEntryError("vector contains NaN or Inf entries")
-    return arr
+    return _finite(arr, "vector")
 
 
 def maxabs(m) -> float:
@@ -80,7 +81,7 @@ def require_hermitian(m, size: int | None = None) -> tuple[np.ndarray, float]:
         raise ValueError(f"expected a nonempty square matrix, got shape {arr.shape}")
     scale = float(np.abs(arr).max())
     if not 8.0 * scale * scale * scale < np.inf:  # bounds a 3x3 minor's terms; NaN and Inf fail too
-        as_matrix(arr)  # raises NonFiniteEntryError for NaN or Inf entries
+        _finite(arr, "matrix")
         raise ChoiKitError(f"entries up to {scale:.3e} in modulus are too large: their cubes overflow")
     if 0.0 < scale and scale * scale * scale < sys.float_info.min:  # where the minors round to 0
         raise ChoiKitError(f"entries up to {scale:.3e} in modulus are too small: their cubes underflow")
@@ -111,15 +112,12 @@ def psd_check(m, tol: float = TOL) -> Certificate:
     that eigenvalue; on FAIL the witness is a unit eigenvector w with
     <w, m w> equal to it.  Raises as require_hermitian does, whatever tol is.
     """
-    return _psd_certificate(*require_hermitian(m), tol, "lambda_min")
-
-
-def _psd_certificate(hs: np.ndarray, scale: float, tol: float, detail: str) -> Certificate:
-    w, vecs = np.linalg.eigh(hs)
+    arr, scale = require_hermitian(m)
+    w, vecs = np.linalg.eigh(arr)
     lam = float(w[0])
     if lam >= -tol_bound(tol, scale):
-        return Certificate(PASS, lam, detail=detail)
-    return Certificate(FAIL, lam, witness=vecs[:, 0].copy(), detail=detail)
+        return Certificate(PASS, lam, detail="lambda_min")
+    return Certificate(FAIL, lam, witness=vecs[:, 0].copy(), detail="lambda_min")
 
 
 def rank_estimate(m) -> int:

@@ -11,8 +11,8 @@ change of the reports, run from the repository root
 Floats that pass through BLAS or LAPACK (eigh, dots, matrix products)
 move in their last bits with the CPU kernel.  So the file stores a
 fingerprint of the kernel: where it matches, the replay compares bytes;
-elsewhere it compares every number within REL_TOL * max(1, max|H|) and all
-other text exactly.
+elsewhere it compares each number x within REL_TOL * max(|x|, max|H|) and
+all other text exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +35,10 @@ from choikit import cli, io
 
 TRANSCRIPT = Path(__file__).with_name("cli_transcript.json")
 REL_TOL = 1e-13
-NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+# a number, or a part of a complex one ("1.5-2e-18i"), but not the digits of a
+# hash or of a name such as "B1"
+NUMBER = re.compile(r"(?:(?<=\d)(?=[-+])|(?<![\w.]))(?:[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan)"
+                    r"(?=i?(?![\w.]))")
 
 
 def _matrix_text(m) -> str:
@@ -173,17 +176,19 @@ def scale_of(argv: list[str], texts: dict[str, str]) -> float:
         return 1.0
 
 
-def mismatch(want: str | None, got: str | None, tol: float | None) -> str | None:
-    """None if got matches want: bytes when tol is None, else every number
-    within tol and all other text exactly; otherwise a description."""
+def mismatch(want: str | None, got: str | None, scale: float | None) -> str | None:
+    """None if got matches want: bytes when scale is None, else each number x
+    within REL_TOL * max(|x|, scale) and all other text exactly; otherwise a
+    description."""
     if want == got:
         return None
-    if tol is None or want is None or got is None:
+    if scale is None or want is None or got is None:
         return f"expected {want!r}, got {got!r}"
     if NUMBER.split(want) != NUMBER.split(got):
         return f"text differs: expected {want!r}, got {got!r}"
     for a, b in zip(NUMBER.findall(want), NUMBER.findall(got)):
         x, y = float(a), float(b)
+        tol = REL_TOL * max(abs(x), scale)
         if not (x == y or (math.isfinite(x) and math.isfinite(y) and abs(x - y) <= tol)):
             return f"number {b} differs from {a} by more than {tol:.1e}"
     return None

@@ -1,12 +1,14 @@
 """Replay of the committed CLI transcript: every report byte that the
-README promises to keep, bit for bit on the kernel that recorded it."""
+README promises to keep, bit for bit on the kernel that recorded it.  On any
+other kernel the numbers are compared within a tolerance, and each test says
+so with a warning."""
 
 import json
+import warnings
 
 import pytest
 
-from cli_transcript import (REL_TOL, TRANSCRIPT, fingerprint, mismatch, run, scale_of,
-                            write_inputs)
+from cli_transcript import TRANSCRIPT, fingerprint, mismatch, run, scale_of, write_inputs
 
 RECORDED = json.loads(TRANSCRIPT.read_text(encoding="utf-8"))
 SAME_KERNEL = RECORDED["fingerprint"] == fingerprint()
@@ -19,6 +21,10 @@ def test_a_recorded_command_gives_the_recorded_output(tmp_path, monkeypatch, wan
     monkeypatch.chdir(tmp_path)
     got = run(want["argv"], texts)
     assert (got["code"], got["stderr"]) == (want["code"], want["stderr"])
-    tol = None if SAME_KERNEL else REL_TOL * max(1.0, scale_of(want["argv"], texts))
+    scale = None
+    if not SAME_KERNEL:
+        warnings.warn("BLAS/LAPACK fingerprint differs from the recorded one: "
+                      "numbers compared within tolerance, not byte for byte")
+        scale = scale_of(want["argv"], texts)
     for key in ("stdout", "out"):
-        assert mismatch(want.get(key), got.get(key), tol) is None, key
+        assert mismatch(want.get(key), got.get(key), scale) is None, key
