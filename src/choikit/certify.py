@@ -25,37 +25,77 @@ from .certificate import FAIL, PASS, Certificate, from_margins
 from .errors import NotCanonicalFormError
 
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# R[a, b] = Re tr(h sigma_a (x) sigma_b) as a signed sum of four of the 32 floats of h
+# (h[m, n].real at 8m + 2n, .imag one further): one (index, sign) pair per nonzero entry
+_PAULI_TERMS = [[(8 * m + 2 * n + int(k[n, m].real == 0), float(k[n, m].real or -k[n, m].imag))
+                 for m in range(4) for n in range(4) if k[n, m] != 0]
+                for k in (np.kron(sa, sb) for sa in _PAULI for sb in _PAULI)]
 _MAX_STEPS = 100  # a safety stop; converged inputs stop after a handful of steps
+_MAX_SWEEPS = 30  # the same for the Jacobi sweeps, of which a 3x3 matrix needs a few
 
 
-def _sphere_argmin(delta, gamma):
-    """Unit x minimising sum_i delta_i x_i^2 + 2 gamma_i x_i, delta ascending from 0.
+def _jacobi(a):
+    """(Eigenvalues ascending, eigenvectors as rows) of the symmetric 3x3 list of lists a,
+    which it overwrites, by cyclic Jacobi (Golub & Van Loan, Matrix Computations, 8.5).
+    A pair is rotated while its off-diagonal entry exceeds 2^-52 times its two diagonal
+    entries: no squares, so a power-of-two scaling of a scales every step exactly."""
+    vecs = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for p, q, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq, app, aqq = a[p][q], a[p][p], a[q][q]
+            if not abs(apq) > 2.0 ** -52 * (abs(app) + abs(aqq)):
+                continue
+            rotated = True
+            # t = tan of the rotation angle, the smaller root of t^2 + 2 theta t = 1: 1 / (2 theta)
+            # to within rounding past 2^26, and theta * theta overflows past 2^511
+            theta = (aqq - app) / (2.0 * apq)
+            at = abs(theta)
+            t = 0.5 / at if at > 2.0 ** 26 else 1.0 / (at + math.sqrt(at * at + 1.0))
+            t = math.copysign(t, theta)
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            a[p][p], a[q][q], a[p][q], a[q][p] = app - t * apq, aqq + t * apq, 0.0, 0.0
+            akp, akq = a[k][p], a[k][q]
+            a[k][p] = a[p][k] = c * akp - s * akq
+            a[k][q] = a[q][k] = s * akp + c * akq
+            vp, vq = vecs[p], vecs[q]
+            vecs[p] = [c * x - s * y for x, y in zip(vp, vq)]
+            vecs[q] = [s * x + c * y for x, y in zip(vp, vq)]
+        if not rotated:
+            break
+    order = sorted(range(3), key=lambda i: a[i][i])
+    return [a[i][i] for i in order], [vecs[i] for i in order]
 
-    x = -gamma / (delta + s) with s >= 0 the root of the secular equation
+
+def _sphere_argmin(d0, d1, d2, g0, g1, g2):
+    """Unit x minimising sum_i d_i x_i^2 + 2 g_i x_i, with 0 = d0 <= d1 <= d2.
+
+    x = -g / (d + s) with s >= 0 the root of the secular equation
     |x(s)| = 1 (Gander, Golub & von Matt 1989).  Newton's method on
     1 - 1/|x(s)|, which is convex and decreasing (More & Sorensen 1983),
     climbs to that root from a start where |x| >= 1 and stops when it no
     longer moves.  If |x(0)| <= 1 (the hard case) s = 0 and x is completed
-    along the bottom eigenvector.  Dots call ndarray.dot: the BLAS ddot of @,
-    with less dispatch.
+    along the bottom eigenvector.
     """
-    ds, gs = delta.tolist(), gamma.tolist()
-    # where gamma_i = 0 the denominator is 1 + s, so x_i = -gamma_i even where delta_i + s = 0
-    shifted, neg = np.array([d if g != 0.0 else 1.0 for d, g in zip(ds, gs)]), -gamma
-    s = max(0.0, *[abs(g) - d for d, g in zip(ds, gs)])
+    # where g_i = 0 the denominator is 1 + s, so x_i = -g_i even where d_i + s = 0
+    e0, e1, e2 = d0 if g0 != 0.0 else 1.0, d1 if g1 != 0.0 else 1.0, d2 if g2 != 0.0 else 1.0
+    s = max(0.0, abs(g0) - d0, abs(g1) - d1, abs(g2) - d2)
     for _ in range(_MAX_STEPS):
-        den = shifted + s
-        x = neg / den
-        norm2 = float(x.dot(x))
+        n0, n1, n2 = e0 + s, e1 + s, e2 + s
+        x0, x1, x2 = -g0 / n0, -g1 / n1, -g2 / n2
+        norm2 = x0 * x0 + x1 * x1 + x2 * x2
         if not norm2 > 1.0:
             break
-        s_next = s + norm2 * (math.sqrt(norm2) - 1.0) / float(x.dot(x / den))
+        slope = x0 * (x0 / n0) + x1 * (x1 / n1) + x2 * (x2 / n2)
+        s_next = s + norm2 * (math.sqrt(norm2) - 1.0) / slope
         if not s_next > s:
             break
         s = s_next
     if s == 0.0:
-        x[0] = math.sqrt(max(0.0, 1.0 - norm2))
-    return x / math.sqrt(x.dot(x))  # np.linalg.norm's own sqrt(x.dot(x)), one BLAS call
+        x0 = math.sqrt(max(0.0, 1.0 - norm2))
+    norm = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    return x0 / norm, x1 / norm, x2 / norm
 
 
 def block_positive(h, tol: float = linalg.TOL) -> Certificate:
@@ -68,29 +108,39 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
     1/4 ((R b)_0 -+ |(R b)_1:|).  The minimum lies at or below the trace bound
     1/4 (R_00 - |R_0,1:|), and C(v) - m I is PSD for every v iff its trace and
     determinant are nonnegative on the sphere.  16 det(C(v) - m I) is a
-    quadratic in r whose quadratic part does not depend on m, so one 3x3
-    eigendecomposition serves every shift m.  Starting from the trace bound,
-    each step moves m down to lambda_min(C(v)) at the v minimising that
+    quadratic in r whose quadratic part p p^T - P^T P does not depend on m, so
+    one 3x3 eigendecomposition serves every shift m.  Starting from the trace
+    bound, each step moves m down to lambda_min(C(v)) at the v minimising that
     determinant (to first order a Newton step on the determinant's minimum
     over the sphere), until m stops decreasing where that minimum is zero.
     Every m is the trace bound or a value attained at some direction, so
     the margin never lies below the true minimum.  PASS iff the margin is
     >= -tol * max|h|; on FAIL the witness is the direction minimising the
     determinant at the final m, and its compressed 2x2 matrix.
+
+    Past validation everything runs on Python floats with + - * /, abs,
+    copysign and sqrt, each correctly rounded, so the margin has the same
+    bits under any BLAS kernel.
     """
     harr, scale = linalg.require_hermitian(h, 4)
-    r = np.einsum("aji,blk,ikjl->ab", _PAULI, _PAULI, harr.reshape(2, 2, 2, 2)).real
-    p, q, pm = r[0, 1:], r[1:, 0], r[1:, 1:]
-    alpha, basis = np.linalg.eigh(np.outer(p, p) - pm.T @ pm)
-    delta, along_p, fixed = alpha - alpha[0], basis.T @ p, basis.T @ (pm.T @ q)
-    r00, pc = float(r[0, 0]), p.ravel()  # np.linalg.norm(p)'s steps and bits: copy, dot, sqrt
-    margin = 0.25 * (r00 - math.sqrt(pc.dot(pc)))
-    b = np.ones(4)
+    hf = harr.view(float).ravel().tolist()
+    r = [s0 * hf[i0] + s1 * hf[i1] + s2 * hf[i2] + s3 * hf[i3]
+         for (i0, s0), (i1, s1), (i2, s2), (i3, s3) in _PAULI_TERMS]
+    r00, p, q, pm = r[0], r[1:4], r[4::4], [r[5:8], r[9:12], r[13:16]]
+    form = [[p[i] * p[j] - (pm[0][i] * pm[0][j] + pm[1][i] * pm[1][j] + pm[2][i] * pm[2][j])
+             for j in range(3)] for i in range(3)]
+    pmq = [pm[0][i] * q[0] + pm[1][i] * q[1] + pm[2][i] * q[2] for i in range(3)]
+    alpha, basis = _jacobi(form)
+    d1, d2 = alpha[1] - alpha[0], alpha[2] - alpha[0]
+    (u0, u1, u2), (w0, w1, w2) = [[v[0] * c[0] + v[1] * c[1] + v[2] * c[2] for v in basis]
+                                  for c in (p, pmq)]
+    margin = 0.25 * (r00 - math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2]))
     for _ in range(_MAX_STEPS):
-        b[1:] = bloch = basis.dot(_sphere_argmin(delta, (r00 - 4.0 * margin) * along_p - fixed))
-        rb = r @ b  # not r.dot(b): r is a strided view, where the two round differently
-        v = rb[1:]
-        lowest = 0.25 * float(rb[0] - math.sqrt(v.dot(v)))
+        k = r00 - 4.0 * margin
+        x0, x1, x2 = _sphere_argmin(0.0, d1, d2, k * u0 - w0, k * u1 - w1, k * u2 - w2)
+        b0, b1, b2 = [x0 * v0 + x1 * v1 + x2 * v2 for v0, v1, v2 in zip(*basis)]
+        rb = [r[a] + r[a + 1] * b0 + r[a + 2] * b1 + r[a + 3] * b2 for a in (0, 4, 8, 12)]
+        lowest = 0.25 * (rb[0] - math.sqrt(rb[1] * rb[1] + rb[2] * rb[2] + rb[3] * rb[3]))
         if not lowest < margin:
             break
         margin = lowest
@@ -98,10 +148,12 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
     detail = "min lambda_min over directions"
     if margin >= -linalg.tol_bound(tol, scale):
         return Certificate(PASS, margin, detail=detail)
-    theta, phi = np.arctan2(np.hypot(bloch[0], bloch[1]), bloch[2]), np.arctan2(bloch[1], bloch[0])
-    vec = np.array([np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)])
-    frame = np.kron(np.eye(2), vec[:, None])
-    return Certificate(FAIL, margin, witness=(vec, frame.conj().T @ harr @ frame), detail=detail)
+    half, phi = 0.5 * math.atan2(math.hypot(b0, b1), b2), math.atan2(b1, b0)
+    v = (complex(math.cos(half)), math.sin(half) * complex(math.cos(phi), math.sin(phi)))
+    hl = harr.tolist()  # the compressed matrix [<v, block_ij v>]
+    compressed = [[sum(v[k].conjugate() * hl[2 * i + k][2 * j + l] * v[l]
+                       for k in (0, 1) for l in (0, 1)) for j in (0, 1)] for i in (0, 1)]
+    return Certificate(FAIL, margin, witness=(np.array(v), np.array(compressed)), detail=detail)
 
 
 def cp_check(h, tol: float = linalg.TOL) -> Certificate:
@@ -112,7 +164,7 @@ def cp_check(h, tol: float = linalg.TOL) -> Certificate:
 
 def ccp_check(h, tol: float = linalg.TOL) -> Certificate:
     """Complete copositivity: PSD test of the partially transposed matrix."""
-    pt = linalg._square(h, 4).reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)  # the block swap
+    pt = choi._swap_blocks(linalg._square(h, 4))
     cert = linalg.psd_check(pt, tol=tol)  # checks pt's entries, which fail where h's do
     return Certificate(cert.verdict, cert.margin, cert.witness, "lambda_min(partial transpose)")
 
@@ -140,6 +192,20 @@ class CanonicalCoefficients(NamedTuple):
     t: complex
 
 
+def _read_canonical(h, swap: bool = False) -> tuple[CanonicalCoefficients, float]:
+    """(canonical_coefficients(h), max|h|), or with swap those of h's partial transpose,
+    which commutes with H -> H*: the bits of validating the swapped input, from one pass."""
+    hs, scale = linalg.require_hermitian(h, 4)
+    if swap:
+        hs = choi._swap_blocks(hs)
+    linalg.require_below(max(abs(hs[0, 2]), abs(hs[2, 2]), abs(hs[2, 3])), linalg.TOL * scale,
+                         "off-pattern", NotCanonicalFormError)
+    return CanonicalCoefficients(
+        a=float(hs[0, 0].real), b=float(hs[1, 1].real), u=float(hs[3, 3].real),
+        c=complex(hs[0, 1]), y=complex(hs[0, 3]), z=complex(hs[2, 1]), t=complex(hs[1, 3]),
+    ), scale
+
+
 def canonical_coefficients(h) -> CanonicalCoefficients:
     """Read (a, b, u, c, y, z, t) off a canonical face-form matrix.
 
@@ -147,13 +213,7 @@ def canonical_coefficients(h) -> CanonicalCoefficients:
     NotCanonicalFormError if any fixed zero position is violated beyond
     linalg.TOL * max|h|.
     """
-    hs, scale = linalg.require_hermitian(h, 4)
-    linalg.require_below(max(abs(hs[0, 2]), abs(hs[2, 2]), abs(hs[2, 3])), linalg.TOL * scale,
-                         "off-pattern", NotCanonicalFormError)
-    return CanonicalCoefficients(
-        a=float(hs[0, 0].real), b=float(hs[1, 1].real), u=float(hs[3, 3].real),
-        c=complex(hs[0, 1]), y=complex(hs[0, 3]), z=complex(hs[2, 1]), t=complex(hs[1, 3]),
-    )
+    return _read_canonical(h)[0]
 
 
 def canonical_matrix(a, b, u, c, y, z, t) -> np.ndarray:
@@ -178,12 +238,13 @@ def _minors(a, b, u, c, y, t) -> list:
             b * au + 2.0 * (c * t * np.conj(y)).real - a * t2 - u * c2]
 
 
-def _minor_conditions(h, tol: float, tag: str) -> Certificate:
-    a, b, u, c, y, z, t = canonical_coefficients(h)
+def _minor_conditions(reading, tol: float, tag: str) -> Certificate:
+    """The conditions on a _read_canonical (coefficients, scale) reading."""
+    (a, b, u, c, y, z, t), scale = reading
     margins = [("a>=0", a), ("b>=0", b), ("u>=0", u), (tag + "1", -abs(z))]
     margins += [(f"{tag}{k}", m) for k, m in enumerate(_minors(a, b, u, c, y, t), start=2)]
     degrees = np.array([1, 1, 1, 1, 2, 2, 2, 3])
-    return from_margins(margins, linalg.scaled_tol(h, tol, degrees), "all conditions")
+    return from_margins(margins, linalg.tol_bound(tol, scale, degrees), "all conditions")
 
 
 def canonical_cp_conditions(h, tol: float = linalg.TOL) -> Certificate:
@@ -194,24 +255,24 @@ def canonical_cp_conditions(h, tol: float = linalg.TOL) -> Certificate:
     expanded form, each judged at tol * max|h|**degree.  The detail names
     the first violated condition.
     """
-    return _minor_conditions(h, tol, "A")
+    return _minor_conditions(_read_canonical(h), tol, "A")
 
 
 def canonical_ccp_conditions(h, tol: float = linalg.TOL) -> Certificate:
     """Mirror conditions for complete copositivity: y = 0 (B1) and the
     minors of the partially transposed matrix (B2)-(B5), which is canonical
     with y and z swapped and t conjugated."""
-    return _minor_conditions(choi.partial_transpose(h), tol, "B")
+    return _minor_conditions(_read_canonical(h, swap=True), tol, "B")
 
 
 def face_form_inequalities(h, tol: float = linalg.TOL) -> Certificate:
     """The three inequalities every positive face member satisfies:
     |c|^2 <= ab, |t|^2 <= bu, and (|y| + |z|)^2 <= au, each of degree 2 and
     judged at tol * max|h|**2."""
-    a, b, u, c, y, z, t = canonical_coefficients(h)
+    (a, b, u, c, y, z, t), scale = _read_canonical(h)
     margins = [
         ("|c|^2<=ab", a * b - abs(c) ** 2),
         ("|t|^2<=bu", b * u - abs(t) ** 2),
         ("(|y|+|z|)^2<=au", a * u - (abs(y) + abs(z)) ** 2),
     ]
-    return from_margins(margins, linalg.scaled_tol(h, tol, 2), "all conditions")
+    return from_margins(margins, linalg.tol_bound(tol, scale, 2), "all conditions")

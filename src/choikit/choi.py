@@ -52,9 +52,14 @@ def apply_map(h, a) -> np.ndarray:
     return out
 
 
+def _swap_blocks(arr: np.ndarray) -> np.ndarray:
+    """The partial transpose of a 4x4 array, unchecked."""
+    return arr.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+
+
 def partial_transpose(h) -> np.ndarray:
     """Swap the off-diagonal blocks: block (i, j) -> block (j, i)."""
-    return linalg.as_matrix(h, 4).reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+    return _swap_blocks(linalg.as_matrix(h, 4))
 
 
 def conjugate(h, v, w) -> np.ndarray:

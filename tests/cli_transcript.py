@@ -8,11 +8,12 @@ change of the reports, run from the repository root
 
     PYTHONPATH=src python tests/cli_transcript.py
 
-Floats that pass through BLAS or LAPACK (eigh, dots, matrix products)
+Floats that pass through BLAS or LAPACK (eigh, norms, matrix products)
 move in their last bits with the CPU kernel.  So the file stores a
 fingerprint of the kernel: where it matches, the replay compares bytes;
 elsewhere it compares each number x within REL_TOL * max(|x|, max|H|) and
-all other text exactly.
+all other text exactly, and the verdict and margin of the positive check
+of a JSON certify report exactly, since block_positive runs without BLAS.
 """
 
 from __future__ import annotations
@@ -128,20 +129,26 @@ def strip_timing(text: str) -> str:
 
 def fingerprint() -> str:
     """A hash of numpy's version and of the BLAS and LAPACK calls the reports
-    go through (dots of 3-vectors, a product with a strided matrix, eigh of
-    real 3x3 and complex 4x4 matrices) on fixed probes.  It reads no choikit
-    code, so a change of choikit's own bits cannot change it."""
+    go through (eigh of complex 4x4 matrices, complex products, the norm of
+    a complex 2-vector) on fixed probes.  It reads no choikit code, so a
+    change of choikit's own bits cannot change it."""
     rng = np.random.default_rng(5)
     digest = hashlib.sha256(np.__version__.encode())
     for _ in range(4):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = g + g.conj().T
-        r = (g @ g.conj().T).real  # a strided view
-        x = r[1:, 1].copy()
-        for arr in (*np.linalg.eigh(h), *np.linalg.eigh(r[1:, 1:] + r[1:, 1:].T),
-                    r @ r[0], x.dot(x), g @ h):
+        for arr in (*np.linalg.eigh(h), g @ h, np.linalg.norm(h[0, :2])):
             digest.update(np.asarray(arr).tobytes())
     return digest.hexdigest()[:16]
+
+
+def positive_check(text: str | None) -> tuple | None:
+    """(verdict, margin) of the positive check of a JSON certify report, else None."""
+    try:
+        check = json.loads(text)["results"]["checks"]["positive"]
+    except (TypeError, ValueError, KeyError):
+        return None
+    return check["verdict"], check["margin"]
 
 
 def run(argv: list[str], texts: dict[str, str]) -> dict:

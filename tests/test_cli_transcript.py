@@ -1,14 +1,15 @@
 """Replay of the committed CLI transcript: every report byte that the
 README promises to keep, bit for bit on the kernel that recorded it.  On any
-other kernel the numbers are compared within a tolerance, and each test says
-so with a warning."""
+other kernel the numbers are compared within a tolerance, except the positive
+check's verdict and margin, and each test says so with a warning."""
 
 import json
 import warnings
 
 import pytest
 
-from cli_transcript import TRANSCRIPT, fingerprint, mismatch, run, scale_of, write_inputs
+from cli_transcript import (TRANSCRIPT, fingerprint, mismatch, positive_check, run, scale_of,
+                            write_inputs)
 
 RECORDED = json.loads(TRANSCRIPT.read_text(encoding="utf-8"))
 SAME_KERNEL = RECORDED["fingerprint"] == fingerprint()
@@ -28,3 +29,4 @@ def test_a_recorded_command_gives_the_recorded_output(tmp_path, monkeypatch, wan
         scale = scale_of(want["argv"], texts)
     for key in ("stdout", "out"):
         assert mismatch(want.get(key), got.get(key), scale) is None, key
+        assert positive_check(got.get(key)) == positive_check(want.get(key)), key
