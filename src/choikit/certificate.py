@@ -16,11 +16,10 @@ class Certificate:
     """Outcome of a numeric decision procedure.
 
     margin is a signed distance to the decision boundary in the test's own
-    scale; PASS requires margin >= -tol * max|H|**k for a margin of degree k
-    in the entries of the input H (linalg.scaled_tol).  face_membership is
-    the one exception and reports a plain residual norm.  On FAIL the witness
-    is present: a unit vector, a (direction, compressed matrix) pair, or the
-    name of the violated condition.
+    scale, -r for a residual r that should be zero; PASS requires margin >=
+    -tol * max|H|**k for a margin of degree k in the entries of the input H
+    (linalg.tol_bound).  On FAIL the witness is a unit vector, a (direction,
+    compressed matrix) pair, or the name of the violated condition.
     """
 
     verdict: str

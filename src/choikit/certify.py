@@ -68,8 +68,8 @@ def _jacobi(a):
     return [a[i][i] for i in order], [vecs[i] for i in order]
 
 
-def _sphere_argmin(d0, d1, d2, g0, g1, g2):
-    """Unit x minimising sum_i d_i x_i^2 + 2 g_i x_i, with 0 = d0 <= d1 <= d2.
+def _sphere_argmin(d1, d2, g0, g1, g2):
+    """Unit x minimising d1 x_1^2 + d2 x_2^2 + 2 sum_i g_i x_i, with 0 <= d1 <= d2.
 
     x = -g / (d + s) with s >= 0 the root of the secular equation
     |x(s)| = 1 (Gander, Golub & von Matt 1989).  Newton's method on
@@ -79,8 +79,8 @@ def _sphere_argmin(d0, d1, d2, g0, g1, g2):
     along the bottom eigenvector.
     """
     # where g_i = 0 the denominator is 1 + s, so x_i = -g_i even where d_i + s = 0
-    e0, e1, e2 = d0 if g0 != 0.0 else 1.0, d1 if g1 != 0.0 else 1.0, d2 if g2 != 0.0 else 1.0
-    s = max(0.0, abs(g0) - d0, abs(g1) - d1, abs(g2) - d2)
+    e0, e1, e2 = 0.0 if g0 != 0.0 else 1.0, d1 if g1 != 0.0 else 1.0, d2 if g2 != 0.0 else 1.0
+    s = max(0.0, abs(g0), abs(g1) - d1, abs(g2) - d2)
     for _ in range(_MAX_STEPS):
         n0, n1, n2 = e0 + s, e1 + s, e2 + s
         x0, x1, x2 = -g0 / n0, -g1 / n1, -g2 / n2
@@ -119,8 +119,8 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
     determinant at the final m, and its compressed 2x2 matrix.
 
     Past validation everything runs on Python floats with + - * /, abs,
-    copysign and sqrt, each correctly rounded, so the margin has the same
-    bits under any BLAS kernel.
+    copysign, max and sqrt, each correctly rounded, so the margin and the
+    witness have the same bits under any BLAS kernel.
     """
     harr, scale = linalg.require_hermitian(h, 4)
     hf = harr.view(float).ravel().tolist()
@@ -137,7 +137,7 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
     margin = 0.25 * (r00 - math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2]))
     for _ in range(_MAX_STEPS):
         k = r00 - 4.0 * margin
-        x0, x1, x2 = _sphere_argmin(0.0, d1, d2, k * u0 - w0, k * u1 - w1, k * u2 - w2)
+        x0, x1, x2 = _sphere_argmin(d1, d2, k * u0 - w0, k * u1 - w1, k * u2 - w2)
         b0, b1, b2 = [x0 * v0 + x1 * v1 + x2 * v2 for v0, v1, v2 in zip(*basis)]
         rb = [r[a] + r[a + 1] * b0 + r[a + 2] * b1 + r[a + 3] * b2 for a in (0, 4, 8, 12)]
         lowest = 0.25 * (rb[0] - math.sqrt(rb[1] * rb[1] + rb[2] * rb[2] + rb[3] * rb[3]))
@@ -148,11 +148,13 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
     detail = "min lambda_min over directions"
     if margin >= -linalg.tol_bound(tol, scale):
         return Certificate(PASS, margin, detail=detail)
-    half, phi = 0.5 * math.atan2(math.hypot(b0, b1), b2), math.atan2(b1, b0)
-    v = (complex(math.cos(half)), math.sin(half) * complex(math.cos(phi), math.sin(phi)))
-    hl = harr.tolist()  # the compressed matrix [<v, block_ij v>]
-    compressed = [[sum(v[k].conjugate() * hl[2 * i + k][2 * j + l] * v[l]
-                       for k in (0, 1) for l in (0, 1)) for j in (0, 1)] for i in (0, 1)]
+    # v has Bloch vector b, so C(v) = [<v, block_ij v>] = 1/4 sum_a rb_a sigma_a.  The larger of
+    # |v_0|, |v_1| is sqrt((1 + |b2|) / 2), the other rho / (2 * larger): neither cancels
+    rho, big = math.sqrt(b0 * b0 + b1 * b1), math.sqrt(0.5 + 0.5 * abs(b2))
+    v0, v1 = (big, 0.5 * rho / big) if b2 >= 0.0 else (0.5 * rho / big, big)
+    v = (complex(v0), v1 * (complex(b0 / rho, b1 / rho) if rho else 1.0))
+    c0, c1, c2, c3 = [0.25 * x for x in rb]
+    compressed = [[complex(c0 + c3), complex(c1, -c2)], [complex(c1, c2), complex(c0 - c3)]]
     return Certificate(FAIL, margin, witness=(np.array(v), np.array(compressed)), detail=detail)
 
 
@@ -170,16 +172,13 @@ def ccp_check(h, tol: float = linalg.TOL) -> Certificate:
 
 
 def face_membership(h, xi, eta, tol: float = linalg.TOL) -> Certificate:
-    """Residual test of phi(P_xi) eta = 0.
-
-    Unlike the other certificates, the margin here is the residual norm
-    itself (0 is ideal); PASS iff it is <= tol * max|h|.
-    """
+    """Residual test of phi(P_xi) eta = 0: the margin is -norm(phi(P_xi) eta),
+    and PASS iff it is >= -tol * max|h|."""
     out = choi.face_image(h, xi, eta)
-    resid = float(np.linalg.norm(out))
-    if resid <= linalg.scaled_tol(h, tol):
-        return Certificate(PASS, resid, detail="norm(phi(P_xi) eta)")
-    return Certificate(FAIL, resid, witness=out, detail="norm(phi(P_xi) eta)")
+    margin = -float(np.linalg.norm(out))
+    if margin >= -linalg.tol_bound(tol, linalg.maxabs(h)):
+        return Certificate(PASS, margin, detail="norm(phi(P_xi) eta)")
+    return Certificate(FAIL, margin, witness=out, detail="norm(phi(P_xi) eta)")
 
 
 class CanonicalCoefficients(NamedTuple):

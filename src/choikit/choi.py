@@ -127,6 +127,6 @@ def canonicalize(h, xi, eta, tol: float = linalg.TOL) -> tuple[np.ndarray, FaceF
     """
     harr = linalg.as_matrix(h, 4)
     linalg.require_below(float(np.linalg.norm(face_image(harr, xi, eta))),
-                         linalg.scaled_tol(harr, tol), "face", NotInFaceError)
+                         linalg.tol_bound(tol, linalg.maxabs(harr)), "face", NotInFaceError)
     frame = build_face_frame(xi, eta)
     return conjugate(harr, frame.v, frame.w), frame

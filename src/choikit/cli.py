@@ -39,6 +39,17 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the report to this file")
 
 
+_CERTIFY_CHECKS = {  # certify's flags, in --help order: --positive, ..., --canonical-ccp
+    "positive": certify.block_positive,
+    "cp": certify.cp_check,
+    "ccp": certify.ccp_check,
+    "extremal": extremal.validate_extremal,
+    "face_form": certify.face_form_inequalities,
+    "canonical_cp": certify.canonical_cp_conditions,
+    "canonical_ccp": certify.canonical_ccp_conditions,
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on first use and shared by every main call."""
@@ -60,13 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cer = sub.add_parser("certify", help="run positivity-class checks on a matrix file")
     cer.add_argument("matrix", help="path to a matrix JSON file ('-' for stdin)")
-    cer.add_argument("--positive", action="store_true")
-    cer.add_argument("--cp", action="store_true")
-    cer.add_argument("--ccp", action="store_true")
-    cer.add_argument("--extremal", action="store_true")
-    cer.add_argument("--face-form", action="store_true")
-    cer.add_argument("--canonical-cp", action="store_true")
-    cer.add_argument("--canonical-ccp", action="store_true")
+    for name in _CERTIFY_CHECKS:
+        cer.add_argument("--" + name.replace("_", "-"), action="store_true")
     _common_flags(cer)
 
     dec = sub.add_parser("decompose", help="split an extremal matrix into CP + co-CP parts")
@@ -140,17 +146,6 @@ def _run_generate(args) -> tuple[dict, int]:
     }
     digest = hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
     return _report(args, results, digest), 0 if cert.passed else 1
-
-
-_CERTIFY_CHECKS = {
-    "positive": certify.block_positive,
-    "cp": certify.cp_check,
-    "ccp": certify.ccp_check,
-    "extremal": extremal.validate_extremal,
-    "face_form": certify.face_form_inequalities,
-    "canonical_cp": certify.canonical_cp_conditions,
-    "canonical_ccp": certify.canonical_ccp_conditions,
-}
 
 
 def _run_certify(args) -> tuple[dict, int]:

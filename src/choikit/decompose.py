@@ -165,14 +165,15 @@ def verify_decomposition(h, pair: DecompositionPair, tol: float = linalg.TOL) ->
     harr = linalg.as_matrix(h, 4)
     parts = (("h1", pair.h1), ("h2", pair.h2))
     margins = [("sum", -linalg.maxabs(pair.h1 + pair.h2 - harr))]
-    skews = [(linalg.maxabs(p - p.conj().T), linalg.scaled_tol(p, linalg.TOL)) for _, p in parts]
+    skews = [(linalg.maxabs(p - p.conj().T), linalg.tol_bound(linalg.TOL, linalg.maxabs(p)))
+             for _, p in parts]
     margins += [(f"hermitian({name})", -skew) for (name, _), (skew, _) in zip(parts, skews)]
-    bound = linalg.scaled_tol(harr, tol)
+    bound = linalg.tol_bound(tol, linalg.maxabs(harr))
     bounds = [bound] + [min(bound, limit) for _, limit in skews]
     if all(skew <= limit for skew, limit in skews):
         margins += [("cp(h1)", certify.cp_check(pair.h1, tol).margin),
                     ("ccp(h2)", certify.ccp_check(pair.h2, tol).margin)]
-        margins += [(f"face({name})", -certify.face_membership(part, (0.0, 1.0), (1.0, 0.0)).margin)
+        margins += [(f"face({name})", certify.face_membership(part, (0.0, 1.0), (1.0, 0.0)).margin)
                     for name, part in parts]
     bounds += [bound] * (len(margins) - len(bounds))
     return from_margins(margins, bounds, "sum, classes, and faces")

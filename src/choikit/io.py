@@ -152,14 +152,11 @@ def _render_value(value, indent: int, lines: list[str]) -> None:
             else:
                 lines.append(f"{pad}{key}: {inner}")
         return
-    if isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)):
-                _render_value(item, indent + 1, lines)
-            else:
-                lines.append(f"{pad}- {item}")
-        return
-    lines.append(f"{pad}{value}")
+    for item in value:  # a list: only dicts and lists recurse
+        if isinstance(item, (dict, list)):
+            _render_value(item, indent + 1, lines)
+        else:
+            lines.append(f"{pad}- {item}")
 
 
 def render_text(report: dict) -> str:

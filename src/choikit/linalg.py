@@ -2,7 +2,7 @@
 
 All functions are pure; matrices are numpy complex arrays validated (shape,
 finiteness) on entry, so NaN/Inf never propagates into a verdict.  TOL is
-the one default tolerance; scaled_tol makes it relative to a matrix's scale.
+the one default tolerance; tol_bound makes it relative to a matrix's scale.
 """
 
 from __future__ import annotations
@@ -53,17 +53,11 @@ def maxabs(m) -> float:
 
 
 def tol_bound(tol: float, scale: float, degree=1):
-    """tol * scale**degree, the bound for a quantity of that degree in entries
-    of size scale; raises ValueError unless tol is finite and >= 0."""
+    """tol * scale**degree, the bound for a quantity of that degree (one bound per entry of
+    an array degree) in entries of size scale; ValueError unless tol is finite and >= 0."""
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     return tol * scale ** degree
-
-
-def scaled_tol(m, tol: float, degree=1):
-    """tol_bound at scale max|m|, so a verdict does not depend on m's scale
-    (degree may be an array, giving one bound per quantity)."""
-    return tol_bound(tol, maxabs(m), degree)
 
 
 def require_below(resid: float, bound: float, label: str, error: type[Exception]) -> None:

@@ -12,8 +12,9 @@ Floats that pass through BLAS or LAPACK (eigh, norms, matrix products)
 move in their last bits with the CPU kernel.  So the file stores a
 fingerprint of the kernel: where it matches, the replay compares bytes;
 elsewhere it compares each number x within REL_TOL * max(|x|, max|H|) and
-all other text exactly, and the verdict and margin of the positive check
-of a JSON certify report exactly, since block_positive runs without BLAS.
+all other text exactly, and the whole positive check of a JSON certify
+report (verdict, margin, detail and witness) exactly, since block_positive
+runs without BLAS.
 """
 
 from __future__ import annotations
@@ -142,13 +143,13 @@ def fingerprint() -> str:
     return digest.hexdigest()[:16]
 
 
-def positive_check(text: str | None) -> tuple | None:
-    """(verdict, margin) of the positive check of a JSON certify report, else None."""
+def positive_check(text: str | None) -> dict | None:
+    """The positive check of a JSON certify report (verdict, margin, detail and
+    witness), else None."""
     try:
-        check = json.loads(text)["results"]["checks"]["positive"]
+        return json.loads(text)["results"]["checks"]["positive"]
     except (TypeError, ValueError, KeyError):
         return None
-    return check["verdict"], check["margin"]
 
 
 def run(argv: list[str], texts: dict[str, str]) -> dict:

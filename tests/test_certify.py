@@ -93,6 +93,11 @@ BLOCK_INPUTS = {
 }
 
 
+def test_a_certificate_is_true_iff_it_passed():
+    assert bool(Certificate(PASS, 0.0)) is True
+    assert bool(Certificate(FAIL, -1.0, witness="A1")) is False
+
+
 class TestBlockPositive:
     def test_identity_map_passes(self):
         assert ck.block_positive(identity_map_choi()).passed
@@ -252,7 +257,8 @@ def oracle_corpus() -> list:
     """Random Hermitian matrices at scales 1e-9..1e9 and their partial
     transposes, Gram (CP) matrices of rank 1 and 2 and theirs, the example family shifted by
     +-1e-6 I and scaled by 1e6, the boundary cases, twenty inputs Hermitian only to within
-    rounding, four dyadic Pauli tables, +-I, 0 and a diagonal."""
+    rounding, four dyadic Pauli tables, six with a minimiser near a pole, +-I, 0 and a
+    diagonal."""
     rng = np.random.default_rng(2024)
     corpus = []
     for k in range(120):
@@ -276,6 +282,14 @@ def oracle_corpus() -> list:
         r = np.diag([r00, 0.5, 0.5, 1.0])
         r[0, 1], r[1:3, 0] = p1, 1.25
         corpus.append(0.25 * np.einsum("ab,aij,bkl->ikjl", r, _REF_PAULI, _REF_PAULI).reshape(4, 4))
+    # R = I but for its first row (1/2, c), c = pole * (-eps cos 0.3, -eps sin 0.3, 1): the
+    # minimising Bloch vector -c / |c| lies within eps of a pole, where a modulus of the witness
+    # direction read off b_2 alone, as sqrt((1 - |b_2|) / 2), is off by up to 2^-26
+    for eps in (1e-9, 1e-8, 1e-7):
+        for pole in (1.0, -1.0):
+            r = np.eye(4)
+            r[0] = 0.5, -pole * eps * np.cos(0.3), -pole * eps * np.sin(0.3), pole
+            corpus.append(0.25 * np.einsum("ab,aij,bkl->ikjl", r, _REF_PAULI, _REF_PAULI).reshape(4, 4))
     return corpus + [np.eye(4), -np.eye(4), np.zeros((4, 4)), np.diag([1.0, -2.0, 3.0, 0.5])]
 
 
@@ -303,7 +317,7 @@ class TestBlockPositiveOracle:
         # The shift stays 0 (the hard case) iff |x(0)| <= 1, with x_i(0) = 0 there.
         zero_den = hard = 0
         for args in calls:
-            delta, gamma = np.array(args[:3]), np.array(args[3:])
+            delta, gamma = np.array((0.0, *args[:2])), np.array(args[2:])
             if np.max(np.abs(gamma) - delta) <= 0.0:
                 zero_den += 1
                 live = gamma != 0.0
@@ -409,7 +423,7 @@ class TestFaceMembership:
         h = ck.build_extremal(ck.ExtremalParams(u=0.25, y=0.25, z=0.25))
         cert = ck.face_membership(h, E2, E1)
         assert cert.passed
-        assert cert.margin <= 1e-12
+        assert cert.margin >= -1e-12
 
     def test_identity_map_in_canonical_face(self):
         assert ck.face_membership(identity_map_choi(), E2, E1).passed
@@ -417,7 +431,7 @@ class TestFaceMembership:
     def test_identity_map_not_in_swapped_face(self):
         cert = ck.face_membership(identity_map_choi(), E2, E2)
         assert not cert.passed
-        assert cert.margin == pytest.approx(1.0, abs=1e-12)
+        assert cert.margin == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestCanonicalMatrix:

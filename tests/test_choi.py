@@ -159,6 +159,11 @@ class TestCanonicalize:
             np.testing.assert_allclose(frame.w @ E2, xi, atol=1e-12)
             np.testing.assert_allclose(frame.v @ E1, eta, atol=1e-12)
 
+    def test_a_zero_xi_is_a_value_error(self):
+        with pytest.raises(ValueError) as exc:
+            ck.canonicalize(ck.example_family(0.5), [0.0, 0.0], E1)
+        assert (type(exc.value), str(exc.value)) == (ValueError, "cannot project onto the zero vector")
+
     def test_haar_rotation_recovers_moduli(self):
         rng = np.random.default_rng(17)
         h = ck.example_family(0.5)

@@ -46,6 +46,8 @@ class TestMatrixJson:
             io.matrix_from_json({"rows": [[[0.0, 0.0]] * 3] * 3})
         with pytest.raises(ValueError):
             io.matrix_from_json([1, 2, 3])
+        with pytest.raises(ValueError, match=r"^row 3 must have exactly 4 entries$"):
+            io.matrix_from_json({"rows": [[[0.0, 0.0]] * 4] * 3 + [[[0.0, 0.0]] * 3]})
 
     def test_complex_literals(self):
         assert io.parse_complex("1+0i") == 1.0
@@ -100,6 +102,20 @@ class TestGenerate:
          "--t-branch is not used with --degenerate"),
     ])
     def test_a_flag_the_mode_does_not_read_exits_2(self, capsys, argv, message):
+        assert cli.main(["generate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "choose exactly one of --example-s, --degenerate, or --u/--y/--z"),
+        (["--example-s", "0.5", "--degenerate", "u_zero"],
+         "choose exactly one of --example-s, --degenerate, or --u/--y/--z"),
+        (["--u", "0.25", "--y", "0.25"], "--u requires --y and --z"),
+        (["--u", "0.25", "--y", "", "--z", "0.25"], "empty complex literal"),
+        (["--u", "0.25", "--y", "1e999", "--z", "0.25"], "complex literal '1e999' is not finite"),
+    ], ids=["no-mode", "two-modes", "u-without-z", "empty-y", "infinite-y"])
+    def test_a_missing_mode_or_an_unusable_value_exits_2(self, capsys, argv, message):
         assert cli.main(["generate", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -411,6 +427,12 @@ class TestInProcess:
             cli.main([arg.format(path=path) for arg in argv] + ["--tol", tol])
         assert exc.value.code == 2
         assert "argument --tol: must be finite and >= 0" in capsys.readouterr().err
+
+    def test_a_tolerance_that_is_not_a_number_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--example-s", "0.5", "--tol", "abc"])
+        assert exc.value.code == 2
+        assert "argument --tol: invalid float value: 'abc'" in capsys.readouterr().err
 
     def test_a_zero_tolerance_still_runs(self, tmp_path, capsys):
         path = tmp_path / "m.json"

@@ -1,7 +1,8 @@
 """Replay of the committed CLI transcript: every report byte that the
 README promises to keep, bit for bit on the kernel that recorded it.  On any
-other kernel the numbers are compared within a tolerance, except the positive
-check's verdict and margin, and each test says so with a warning."""
+other kernel the numbers are compared within a tolerance, except those of the
+positive check of a JSON certify report (verdict, margin, detail and witness),
+and each test says so with a warning."""
 
 import json
 import warnings

@@ -40,6 +40,8 @@ class TestBuildExtremal:
             ck.build_extremal(ck.ExtremalParams(u=1.0, y=0.5, z=0.5))
         with pytest.raises(InvalidParamsError, match="condition2"):  # sqrt(0.3)/2 to 10 digits
             ck.build_extremal(ck.ExtremalParams(u=0.3, y=0.2738612788, z=0.2738612788))
+        with pytest.raises(InvalidParamsError, match=r"^parameters contain NaN or Inf$"):
+            ck.build_extremal(ck.ExtremalParams(u=float("nan"), y=0.25, z=0.25))
 
     def test_a_built_matrix_passes_validate_extremal(self):
         # a split residual r <= TOL passes the |y| + |z| check, but the

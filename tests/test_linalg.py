@@ -171,7 +171,6 @@ class TestTolContract:
     def test_tol_bound_is_tol_times_scale_to_the_degree(self):
         assert linalg.tol_bound(1e-10, 4.0) == 4e-10
         np.testing.assert_array_equal(linalg.tol_bound(0.5, 2.0, np.array([1, 2, 3])), [1.0, 2.0, 4.0])
-        assert linalg.scaled_tol(-3.0 * np.eye(4), 0.5, 2) == 4.5
 
 
 class TestRankEstimate:
@@ -234,6 +233,15 @@ class TestCompleteToUnitary:
     def test_non_unit_vector_rejected(self):
         with pytest.raises(NotUnitVectorError):
             ck.complete_to_unitary([1.0, 1.0], position="second")
+
+    @pytest.mark.parametrize("v, position, message", [
+        ([1.0, 0.0], "x", "position must be 'first' or 'second', got 'x'"),
+        ([1.0, 0.0, 0.0], "first", "expected a vector of length 2, got shape (3,)"),
+    ], ids=["position-x", "3-vector"])
+    def test_a_bad_position_or_length_is_a_value_error(self, v, position, message):
+        with pytest.raises(ValueError) as exc:
+            ck.complete_to_unitary(v, position=position)
+        assert (type(exc.value), str(exc.value)) == (ValueError, message)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
