@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 PASS = "PASS"
 FAIL = "FAIL"
 
@@ -38,10 +36,11 @@ class Certificate:
 def from_margins(margins, tol, passed_detail: str) -> Certificate:
     """Certificate for a list of (name, margin) conditions, each satisfied
     when margin >= -tol, with tol one bound or one per condition (so a NaN
-    margin is violated): the smallest margin, and on FAIL the name of the
-    first violated condition as witness and detail."""
-    worst = float(np.min([v for _, v in margins]))
-    bounds = tol if np.ndim(tol) else [tol] * len(margins)
+    margin is violated): the smallest margin (a NaN if any is; of equal ones,
+    0.0 and -0.0, the last, as np.min picks among up to 8), and on FAIL the
+    name of the first violated condition as witness and detail."""
+    worst = float(min(reversed([v for _, v in margins]), key=lambda v: (v == v, v)))
+    bounds = tol if hasattr(tol, "__len__") else [tol] * len(margins)
     for (name, value), bound in zip(margins, bounds):
         if not value >= -bound:
             return Certificate(FAIL, worst, witness=name, detail=name)

@@ -173,12 +173,13 @@ def ccp_check(h, tol: float = linalg.TOL) -> Certificate:
 
 def face_membership(h, xi, eta, tol: float = linalg.TOL) -> Certificate:
     """Residual test of phi(P_xi) eta = 0: the margin is -norm(phi(P_xi) eta),
-    and PASS iff it is >= -tol * max|h|."""
+    and PASS iff it is >= -tol * max|h|.  choi.face_image and choi.norm use no
+    BLAS, so the margin and the witness have the same bits under any kernel."""
     out = choi.face_image(h, xi, eta)
-    margin = -float(np.linalg.norm(out))
+    margin = -choi.norm(out)
     if margin >= -linalg.tol_bound(tol, linalg.maxabs(h)):
         return Certificate(PASS, margin, detail="norm(phi(P_xi) eta)")
-    return Certificate(FAIL, margin, witness=out, detail="norm(phi(P_xi) eta)")
+    return Certificate(FAIL, margin, witness=np.array(out), detail="norm(phi(P_xi) eta)")
 
 
 class CanonicalCoefficients(NamedTuple):

@@ -7,6 +7,7 @@ matrix is the single source of truth; block views are computed from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,18 +80,23 @@ def conjugate(h, v, w) -> np.ndarray:
     return left @ harr @ left.conj().T
 
 
-def projector(v) -> np.ndarray:
-    """Orthogonal projection onto the line spanned by v."""
-    vec = linalg.as_vector(v, 2)
-    n2 = float(np.vdot(vec, vec).real)
+def face_image(h, xi, eta) -> list[complex]:
+    """The vector phi(P_xi) eta, zero iff the map annihilates eta on P_xi: with
+    w = conj(xi) (x) eta it is sum_i xi_i (h w)[2i:2i+2] / |xi|^2, on Python complexes."""
+    rows = linalg.as_matrix(h, 4).tolist()
+    (x0, x1), (e0, e1) = linalg.as_vector(xi, 2).tolist(), linalg.as_vector(eta, 2).tolist()
+    n2 = x0.real * x0.real + x0.imag * x0.imag + x1.real * x1.real + x1.imag * x1.imag
     if n2 <= 0.0:
         raise ValueError("cannot project onto the zero vector")
-    return np.outer(vec, vec.conj()) / n2
+    w0, w1, w2, w3 = (x.conjugate() * e for x in (x0, x1) for e in (e0, e1))
+    hw = [r0 * w0 + r1 * w1 + r2 * w2 + r3 * w3 for r0, r1, r2, r3 in rows]
+    return [(x0 * hw[0] + x1 * hw[2]) / n2, (x0 * hw[1] + x1 * hw[3]) / n2]
 
 
-def face_image(h, xi, eta) -> np.ndarray:
-    """The vector phi(P_xi) eta; zero iff the map annihilates eta on P_xi."""
-    return apply_map(h, projector(xi)) @ linalg.as_vector(eta, 2)
+def norm(vec) -> float:
+    """Euclidean norm of two complexes (face_image's), from correctly rounded operations."""
+    a, b = vec
+    return math.sqrt((a.real * a.real + b.real * b.real) + (a.imag * a.imag + b.imag * b.imag))
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,7 @@ def canonicalize(h, xi, eta, tol: float = linalg.TOL) -> tuple[np.ndarray, FaceF
     NotInFaceError if the face residual exceeds tol * max|h|.
     """
     harr = linalg.as_matrix(h, 4)
-    linalg.require_below(float(np.linalg.norm(face_image(harr, xi, eta))),
+    linalg.require_below(norm(face_image(harr, xi, eta)),
                          linalg.tol_bound(tol, linalg.maxabs(harr)), "face", NotInFaceError)
     frame = build_face_frame(xi, eta)
     return conjugate(harr, frame.v, frame.w), frame

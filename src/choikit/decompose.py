@@ -4,6 +4,7 @@ u, |y|, |z| that marks a boundary instance.  uniqueness scans around it."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,7 @@ def _canonical(u: float, y: complex, z: complex, t: complex) -> SplitCandidate:
     """The closed-form split, or at a boundary instance the natural boundary one."""
     edge = _boundary(u, y, z)
     if edge is None:
-        ru = float(np.sqrt(u))
+        ru = math.sqrt(u)
         return SplitCandidate(
             a1=abs(y) / ru,
             b1=abs(z) * (1.0 - u) / ru,
@@ -112,9 +113,9 @@ def _factors(u: float, y: complex, t: complex) -> tuple[np.ndarray, np.ndarray, 
     (y1, z1) -> (-y1, -z1) remains free and it leaves both parts invariant.
     """
     y1 = linalg.principal_sqrt(y)
-    z1 = complex(np.conj(t / (2j * np.sqrt(1.0 - u) * y1)))
+    z1 = (t / (2j * math.sqrt(1.0 - u) * y1)).conjugate()
     uq = float(u) ** 0.25
-    s = float(np.sqrt(max(1.0 - u, 0.0)))
+    s = math.sqrt(max(1.0 - u, 0.0))
     k1 = np.array([
         [y1 / uq, 0.0],
         [1j * np.conj(z1) * s / uq, np.conj(y1) * uq],

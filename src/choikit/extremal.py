@@ -20,6 +20,7 @@ part of the parameter set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ def derived_t(u: float, y: complex, z: complex, branch: str = "+") -> complex:
     """Branch-selected square root of -4 (1 - u) y conj(z)."""
     if branch not in ("+", "-"):
         raise InvalidParamsError(f"t branch must be '+' or '-', got {branch!r}")
-    root = linalg.principal_sqrt(-4.0 * (1.0 - float(u)) * complex(y) * np.conj(complex(z)))
+    root = linalg.principal_sqrt(-4.0 * (1.0 - float(u)) * complex(y) * complex(z).conjugate())
     return root if branch == "+" else -root
 
 
@@ -61,14 +62,14 @@ class ExtremalParams:
         u = float(self.u)
         y = complex(self.y)
         z = complex(self.z)
-        if not np.isfinite([u, y, z]).all():
+        if not all(map(math.isfinite, (u, y.real, y.imag, z.real, z.imag))):
             raise InvalidParamsError("parameters contain NaN or Inf")
         tol = linalg.TOL
         if u < -tol or u > 1.0 + tol:
             raise InvalidParamsError(f"u = {u!r} outside [0, 1]")
         if self.b > tol:
             rule = "|y| + |z| must equal sqrt(u) when b > 0"
-            resid = abs(abs(y) + abs(z) - np.sqrt(max(u, 0.0)))
+            resid = abs(abs(y) + abs(z) - math.sqrt(max(u, 0.0)))
         else:
             rule = "b = 0 requires |y| = 1 or |z| = 1 (other zero)"
             resid = min(abs(abs(y) - 1.0) + abs(z), abs(abs(z) - 1.0) + abs(y))
@@ -142,8 +143,8 @@ def _check_relations(coeffs: certify.CanonicalCoefficients, tol: float) -> Certi
     if b > tol:
         margins.extend([
             ("condition2", -abs(abs(t) ** 2 - 2.0 * b * (u - abs(y) ** 2 - abs(z) ** 2))),
-            ("split", -abs(abs(y) + abs(z) - np.sqrt(max(u, 0.0)))),
-            ("phase", -abs(t * t + 4.0 * (1.0 - u) * y * np.conj(z))),
+            ("split", -abs(abs(y) + abs(z) - math.sqrt(max(u, 0.0)))),
+            ("phase", -abs(t * t + 4.0 * (1.0 - u) * y * z.conjugate())),
         ])
     else:
         margins.extend([

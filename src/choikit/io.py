@@ -7,6 +7,7 @@ shortest round-trip decimal form, so parse(emit(M)) reproduces M exactly.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -19,12 +20,17 @@ from .uniqueness import FeasibilityReport
 
 def complex_pair(value) -> list[float]:
     zc = complex(value)
-    return [float(zc.real), float(zc.imag)]
+    return [zc.real, zc.imag]
+
+
+def _pairs(values) -> list:
+    """[re, im] pairs of the entries of an array, read as Python complexes."""
+    return [[v.real, v.imag] for v in np.asarray(values, dtype=np.complex128).reshape(-1).tolist()]
 
 
 def matrix_to_json(m) -> dict:
-    arr = np.asarray(m, dtype=np.complex128)
-    return {"rows": [[complex_pair(v) for v in row] for row in arr]}
+    rows = np.asarray(m, dtype=np.complex128).tolist()
+    return {"rows": [[[v.real, v.imag] for v in row] for row in rows]}
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -35,7 +41,7 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) not in (2, 4):
         raise ValueError("matrix must have 2 or 4 rows")
     n = len(rows)
-    out = np.zeros((n, n), dtype=np.complex128)
+    out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"row {i} must have exactly {n} entries")
@@ -45,10 +51,10 @@ def matrix_from_json(obj) -> np.ndarray:
                                for x in pair)):
                 raise ValueError(f"entry ({i},{j}) must be a [re, im] pair of numbers")
             try:
-                out[i, j] = complex(float(pair[0]), float(pair[1]))
+                out.append(complex(float(pair[0]), float(pair[1])))
             except OverflowError:  # an integer beyond the float range
                 raise ValueError(f"entry ({i},{j}) does not fit in a float") from None
-    return linalg.as_matrix(out, n)
+    return linalg.as_matrix(np.array(out).reshape(n, n), n)
 
 
 def parse_complex(text: str) -> complex:
@@ -56,11 +62,11 @@ def parse_complex(text: str) -> complex:
     cleaned = text.strip().replace(" ", "")
     if not cleaned:
         raise ValueError("empty complex literal")
-    try:
-        value = complex(cleaned.replace("i", "j"))
+    try:  # only a closing i is the imaginary unit: "inf" and "infinity" keep theirs
+        value = complex(cleaned[:-1] + "j" if cleaned.endswith("i") else cleaned)
     except ValueError as exc:
         raise ValueError(f"cannot parse complex literal {text!r}") from exc
-    if not np.isfinite(value.real) or not np.isfinite(value.imag):
+    if not math.isfinite(value.real) or not math.isfinite(value.imag):
         raise ValueError(f"complex literal {text!r} is not finite")
     return value
 
@@ -72,13 +78,8 @@ def _witness_to_json(witness) -> Any:
         return {"kind": "condition", "name": witness}
     if isinstance(witness, tuple) and len(witness) == 2:
         vec, mat = witness
-        return {
-            "kind": "direction",
-            "vector": [complex_pair(v) for v in np.asarray(vec).reshape(-1)],
-            "matrix": matrix_to_json(mat),
-        }
-    arr = np.asarray(witness).reshape(-1)
-    return {"kind": "vector", "value": [complex_pair(v) for v in arr]}
+        return {"kind": "direction", "vector": _pairs(vec), "matrix": matrix_to_json(mat)}
+    return {"kind": "vector", "value": _pairs(witness)}
 
 
 def certificate_to_json(cert: Certificate) -> dict:

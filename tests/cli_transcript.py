@@ -8,13 +8,13 @@ change of the reports, run from the repository root
 
     PYTHONPATH=src python tests/cli_transcript.py
 
-Floats that pass through BLAS or LAPACK (eigh, norms, matrix products)
-move in their last bits with the CPU kernel.  So the file stores a
-fingerprint of the kernel: where it matches, the replay compares bytes;
-elsewhere it compares each number x within REL_TOL * max(|x|, max|H|) and
-all other text exactly, and the whole positive check of a JSON certify
-report (verdict, margin, detail and witness) exactly, since block_positive
-runs without BLAS.
+Floats that pass through LAPACK (the eigh of cp_check and ccp_check) move
+in their last bits with the CPU kernel; every other number in a report comes
+from correctly rounded operations.  So the file stores a fingerprint of the
+kernel: where it matches, the replay compares bytes; elsewhere it compares
+each number x within REL_TOL * max(|x|, max|H|) and all other text exactly,
+and the whole positive check of a JSON certify report (verdict, margin,
+detail and witness) exactly, since block_positive runs without BLAS.
 """
 
 from __future__ import annotations
@@ -129,17 +129,16 @@ def strip_timing(text: str) -> str:
 
 
 def fingerprint() -> str:
-    """A hash of numpy's version and of the BLAS and LAPACK calls the reports
-    go through (eigh of complex 4x4 matrices, complex products, the norm of
-    a complex 2-vector) on fixed probes.  It reads no choikit code, so a
-    change of choikit's own bits cannot change it."""
+    """A hash of numpy's version and of the one LAPACK call the reports go
+    through (eigh of complex 4x4 matrices, in cp_check and ccp_check) on fixed
+    probes.  It reads no choikit code, so a change of choikit's own bits
+    cannot change it."""
     rng = np.random.default_rng(5)
     digest = hashlib.sha256(np.__version__.encode())
     for _ in range(4):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = g + g.conj().T
-        for arr in (*np.linalg.eigh(h), g @ h, np.linalg.norm(h[0, :2])):
-            digest.update(np.asarray(arr).tobytes())
+        for arr in np.linalg.eigh(g + g.conj().T):
+            digest.update(arr.tobytes())
     return digest.hexdigest()[:16]
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import choikit as ck
 from choikit import certify, choi, linalg
-from choikit.certificate import FAIL, PASS, Certificate
+from choikit.certificate import FAIL, PASS, Certificate, from_margins
 from choikit.errors import ChoiKitError, NotCanonicalFormError, NotHermitianError
 
 from conftest import (haar_unitary, random_canonical_matrix, random_hermitian, random_mixture,
@@ -96,6 +96,29 @@ BLOCK_INPUTS = {
 def test_a_certificate_is_true_iff_it_passed():
     assert bool(Certificate(PASS, 0.0)) is True
     assert bool(Certificate(FAIL, -1.0, witness="A1")) is False
+
+
+# up to 8 margins (past that np.min's SIMD lanes decide the tie rule), with frequent ties
+MARGINS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, math.nan, 1.0, -1.0]),
+                             st.floats(allow_nan=False)), min_size=1, max_size=8)
+
+
+class TestFromMargins:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(MARGINS)
+    def test_the_margin_has_the_bytes_of_np_min(self, values):
+        cert = from_margins([(f"m{k}", v) for k, v in enumerate(values)], 0.5, "ok")
+        assert np.float64(cert.margin).tobytes() == np.float64(np.min(values)).tobytes()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(MARGINS, st.integers(0, 7))
+    def test_a_nan_gives_a_nan_margin_and_fails_at_the_first_violation(self, values, at):
+        values.insert(at % (len(values) + 1), math.nan)
+        names = [f"m{k}" for k in range(len(values))]
+        cert = from_margins(list(zip(names, values)), 0.5, "ok")
+        first = next(name for name, v in zip(names, values) if not v >= -0.5)
+        assert math.isnan(cert.margin)
+        assert (cert.verdict, cert.witness, cert.detail) == (FAIL, first, first)
 
 
 class TestBlockPositive:
@@ -293,6 +316,15 @@ def oracle_corpus() -> list:
     return corpus + [np.eye(4), -np.eye(4), np.zeros((4, 4)), np.diag([1.0, -2.0, 3.0, 0.5])]
 
 
+def other_kernel_env() -> dict:
+    """The environment of a child on OpenBLAS's Nehalem kernel (no FMA), or on the default
+    one where this process already runs on Nehalem's."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ck.__file__).resolve().parents[1]))
+    if env.pop("OPENBLAS_CORETYPE", None) != "Nehalem":
+        env["OPENBLAS_CORETYPE"] = "Nehalem"
+    return env
+
+
 # A child process that prints the block_positive margins of the matrices saved in argv[1].
 MARGINS_CHILD = ("import sys, numpy as np, choikit as ck; "
                  "print(*(float(ck.block_positive(h).margin).hex() for h in np.load(sys.argv[1])))")
@@ -327,17 +359,12 @@ class TestBlockPositiveOracle:
 
 class TestBlockPositiveExactness:
     def test_margins_have_the_same_bytes_under_another_blas_kernel(self, tmp_path):
-        # inputs built without BLAS; the child runs on OpenBLAS's Nehalem kernel (no FMA),
-        # or on the default one where this process already runs on Nehalem's
         rng = np.random.default_rng(33)
         hs = [random_hermitian(rng) for _ in range(100)]
         hs += [choi.partial_transpose(h) for h in hs]
         np.save(tmp_path / "inputs.npy", np.array(hs))
-        env = dict(os.environ, PYTHONPATH=str(Path(ck.__file__).resolve().parents[1]))
-        if env.pop("OPENBLAS_CORETYPE", None) != "Nehalem":
-            env["OPENBLAS_CORETYPE"] = "Nehalem"
         child = subprocess.run([sys.executable, "-c", MARGINS_CHILD, str(tmp_path / "inputs.npy")],
-                               env=env, capture_output=True, text=True, check=True)
+                               env=other_kernel_env(), capture_output=True, text=True, check=True)
         assert child.stdout.split() == [float(ck.block_positive(h).margin).hex() for h in hs]
 
     @pytest.mark.parametrize("k", [-300, -208, -100, 100, 240, 300])
@@ -418,7 +445,64 @@ class TestCpCcp:
             assert cert.verdict == clear_verdict(check, h), check
 
 
+def reference_face_image(h, xi, eta) -> np.ndarray:
+    """phi(P_xi) eta through the projector and matrix products, as a reference."""
+    return ck.apply_map(h, np.outer(xi, xi.conj()) / np.vdot(xi, xi).real) @ eta
+
+
+def face_inputs(rng, count: int) -> list:
+    """(h, xi, eta) triples: random Hermitian h at 1e-6...1e6 with unnormalised xi and eta,
+    and as many extremal maps moved by local unitaries with their face pair moved along."""
+    out = []
+    for _ in range(count):
+        h = random_hermitian(rng) * 10.0 ** rng.uniform(-6.0, 6.0)
+        xi, eta = (10.0 ** rng.uniform(-3.0, 3.0) * (rng.normal(size=2) + 1j * rng.normal(size=2))
+                   for _ in range(2))
+        v, w = haar_unitary(rng), haar_unitary(rng)
+        out += [(h, xi, eta), (ck.conjugate(ck.build_extremal(ck.random_params(rng)), v, w),
+                               w.conj().T @ E2, v.conj().T @ E1)]
+    return out
+
+
+# A child process that prints face_membership's margin and witness bytes for the triples in
+# argv[1] (a PASS's witness, None, reads as NaN).
+FACE_CHILD = ("import sys, numpy as np, choikit as ck; d = np.load(sys.argv[1]); "
+              "certs = [ck.face_membership(*args) for args in zip(d['h'], d['xi'], d['eta'])]; "
+              "print(*(float(c.margin).hex() + np.asarray(c.witness, complex).tobytes().hex() "
+              "for c in certs))")
+
+
 class TestFaceMembership:
+    def test_agrees_with_the_projector_reference(self):
+        verdicts = set()
+        for h, xi, eta in face_inputs(np.random.default_rng(36), 300):
+            cert, want = ck.face_membership(h, xi, eta), reference_face_image(h, xi, eta)
+            bound = 8.0 * 2.0 ** -52 * np.abs(h).max() * np.linalg.norm(eta)
+            assert cert.verdict == (PASS if np.linalg.norm(want) <= 1e-10 * np.abs(h).max() else FAIL)
+            assert abs(cert.margin + np.linalg.norm(want)) <= bound
+            if not cert.passed:
+                assert np.abs(cert.witness - want).max() <= bound
+            verdicts.add(cert.verdict)
+        assert verdicts == {PASS, FAIL}
+
+    def test_both_parts_of_a_split_have_margin_minus_zero(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            pair = ck.decompose_extremal(ck.build_extremal(ck.random_params(rng)))
+            for part in (pair.h1, pair.h2):
+                margin = ck.face_membership(part, E2, E1).margin
+                assert margin == 0.0 and math.copysign(1.0, margin) == -1.0
+
+    def test_margins_and_witnesses_have_the_same_bytes_under_another_blas_kernel(self, tmp_path):
+        triples = face_inputs(np.random.default_rng(38), 100)
+        h, xi, eta = (np.array(column) for column in zip(*triples))
+        np.savez(tmp_path / "inputs.npz", h=h, xi=xi, eta=eta)
+        child = subprocess.run([sys.executable, "-c", FACE_CHILD, str(tmp_path / "inputs.npz")],
+                               env=other_kernel_env(), capture_output=True, text=True, check=True)
+        certs = [ck.face_membership(*args) for args in triples]
+        assert child.stdout.split() == [
+            float(c.margin).hex() + np.asarray(c.witness, complex).tobytes().hex() for c in certs]
+
     def test_extremal_form_lies_in_canonical_face(self):
         h = ck.build_extremal(ck.ExtremalParams(u=0.25, y=0.25, z=0.25))
         cert = ck.face_membership(h, E2, E1)

@@ -57,6 +57,14 @@ class TestMatrixJson:
         with pytest.raises(ValueError):
             io.parse_complex("one")
 
+    def test_repr_built_literals_parse_to_their_own_bits(self):
+        rng = np.random.default_rng(61)
+        values = [complex(v) for v in rng.normal(size=100) + 1j * rng.normal(size=100)]
+        values += [complex(v) * 10.0 ** k for v in values[:10] for k in (-300, -5, 20, 300)]
+        for v in values + [complex(0.5, 0.0), complex(-0.0, 1e-05)]:
+            got = io.parse_complex(f"{v.real!r}{'+' if v.imag >= 0 else '-'}{abs(v.imag)!r}i")
+            assert (got.real.hex(), got.imag.hex()) == (v.real.hex(), v.imag.hex())
+
 
 class TestGenerate:
     def test_example_family_instance(self):
@@ -114,7 +122,13 @@ class TestGenerate:
         (["--u", "0.25", "--y", "0.25"], "--u requires --y and --z"),
         (["--u", "0.25", "--y", "", "--z", "0.25"], "empty complex literal"),
         (["--u", "0.25", "--y", "1e999", "--z", "0.25"], "complex literal '1e999' is not finite"),
-    ], ids=["no-mode", "two-modes", "u-without-z", "empty-y", "infinite-y"])
+        (["--u", "0.25", "--y", "inf", "--z", "0.25"], "complex literal 'inf' is not finite"),
+        (["--u", "0.25", "--y=-inf", "--z", "0.25"], "complex literal '-inf' is not finite"),
+        (["--u", "0.25", "--y", "infinity", "--z", "0.25"],
+         "complex literal 'infinity' is not finite"),
+        (["--u", "0.25", "--y", "0.25", "--z", "2+infi"], "complex literal '2+infi' is not finite"),
+    ], ids=["no-mode", "two-modes", "u-without-z", "empty-y", "infinite-y", "inf-y", "minus-inf-y",
+            "infinity-y", "infinite-imaginary-z"])
     def test_a_missing_mode_or_an_unusable_value_exits_2(self, capsys, argv, message):
         assert cli.main(["generate", *argv]) == 2
         captured = capsys.readouterr()
