@@ -34,38 +34,50 @@ _MAX_STEPS = 100  # a safety stop; converged inputs stop after a handful of step
 _MAX_SWEEPS = 30  # the same for the Jacobi sweeps, of which a 3x3 matrix needs a few
 
 
-def _jacobi(a):
-    """(Eigenvalues ascending, eigenvectors as rows) of the symmetric 3x3 list of lists a,
-    which it overwrites, by cyclic Jacobi (Golub & Van Loan, Matrix Computations, 8.5).
-    A pair is rotated while its off-diagonal entry exceeds 2^-52 times its two diagonal
-    entries: no squares, so a power-of-two scaling of a scales every step exactly."""
-    vecs = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+def _rotation(apq, app, aqq):
+    """(t, c, s) of the Jacobi rotation that zeroes apq against app and aqq: t = tan of its
+    angle, the smaller root of t^2 + 2 theta t = 1, is 1 / (2 theta) to within rounding past
+    2^26, and theta * theta overflows past 2^511."""
+    theta = (aqq - app) / (2.0 * apq)
+    at = abs(theta)
+    t = math.copysign(0.5 / at if at > 2.0 ** 26 else 1.0 / (at + math.sqrt(at * at + 1.0)), theta)
+    c = 1.0 / math.sqrt(t * t + 1.0)
+    return t, c, t * c
+
+
+def _jacobi(a00, a11, a22, a01, a02, a12):
+    """(Eigenvalue, eigenvector) pairs, ascending, of the symmetric 3x3 with these entries, by
+    cyclic Jacobi (Golub & Van Loan, Matrix Computations, 8.5) on the pairs (0, 1), (0, 2), (1, 2).
+    A pair is rotated while its off-diagonal entry exceeds 2^-52 times its two diagonal entries:
+    no squares, so a power-of-two scaling of the matrix scales every step exactly."""
+    v00, v01, v02, v10, v11, v12, v20, v21, v22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
     for _ in range(_MAX_SWEEPS):
         rotated = False
-        for p, q, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            apq, app, aqq = a[p][q], a[p][p], a[q][q]
-            if not abs(apq) > 2.0 ** -52 * (abs(app) + abs(aqq)):
-                continue
+        if abs(a01) > 2.0 ** -52 * (abs(a00) + abs(a11)):
             rotated = True
-            # t = tan of the rotation angle, the smaller root of t^2 + 2 theta t = 1: 1 / (2 theta)
-            # to within rounding past 2^26, and theta * theta overflows past 2^511
-            theta = (aqq - app) / (2.0 * apq)
-            at = abs(theta)
-            t = 0.5 / at if at > 2.0 ** 26 else 1.0 / (at + math.sqrt(at * at + 1.0))
-            t = math.copysign(t, theta)
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            a[p][p], a[q][q], a[p][q], a[q][p] = app - t * apq, aqq + t * apq, 0.0, 0.0
-            akp, akq = a[k][p], a[k][q]
-            a[k][p] = a[p][k] = c * akp - s * akq
-            a[k][q] = a[q][k] = s * akp + c * akq
-            vp, vq = vecs[p], vecs[q]
-            vecs[p] = [c * x - s * y for x, y in zip(vp, vq)]
-            vecs[q] = [s * x + c * y for x, y in zip(vp, vq)]
+            t, c, s = _rotation(a01, a00, a11)
+            a00, a11, a01 = a00 - t * a01, a11 + t * a01, 0.0
+            a02, a12 = c * a02 - s * a12, s * a02 + c * a12
+            v00, v01, v02, v10, v11, v12 = (c * v00 - s * v10, c * v01 - s * v11, c * v02 - s * v12,
+                                            s * v00 + c * v10, s * v01 + c * v11, s * v02 + c * v12)
+        if abs(a02) > 2.0 ** -52 * (abs(a00) + abs(a22)):
+            rotated = True
+            t, c, s = _rotation(a02, a00, a22)
+            a00, a22, a02 = a00 - t * a02, a22 + t * a02, 0.0
+            a01, a12 = c * a01 - s * a12, s * a01 + c * a12
+            v00, v01, v02, v20, v21, v22 = (c * v00 - s * v20, c * v01 - s * v21, c * v02 - s * v22,
+                                            s * v00 + c * v20, s * v01 + c * v21, s * v02 + c * v22)
+        if abs(a12) > 2.0 ** -52 * (abs(a11) + abs(a22)):
+            rotated = True
+            t, c, s = _rotation(a12, a11, a22)
+            a11, a22, a12 = a11 - t * a12, a22 + t * a12, 0.0
+            a01, a02 = c * a01 - s * a02, s * a01 + c * a02
+            v10, v11, v12, v20, v21, v22 = (c * v10 - s * v20, c * v11 - s * v21, c * v12 - s * v22,
+                                            s * v10 + c * v20, s * v11 + c * v21, s * v12 + c * v22)
         if not rotated:
             break
-    order = sorted(range(3), key=lambda i: a[i][i])
-    return [a[i][i] for i in order], [vecs[i] for i in order]
+    return sorted(((a00, (v00, v01, v02)), (a11, (v10, v11, v12)), (a22, (v20, v21, v22))),
+                  key=lambda pair: pair[0])
 
 
 def _sphere_argmin(d1, d2, g0, g1, g2):
@@ -124,23 +136,30 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
     """
     harr, scale = linalg.require_hermitian(h, 4)
     hf = harr.view(float).ravel().tolist()
-    r = [s0 * hf[i0] + s1 * hf[i1] + s2 * hf[i2] + s3 * hf[i3]
-         for (i0, s0), (i1, s1), (i2, s2), (i3, s3) in _PAULI_TERMS]
-    r00, p, q, pm = r[0], r[1:4], r[4::4], [r[5:8], r[9:12], r[13:16]]
-    form = [[p[i] * p[j] - (pm[0][i] * pm[0][j] + pm[1][i] * pm[1][j] + pm[2][i] * pm[2][j])
-             for j in range(3)] for i in range(3)]
-    pmq = [pm[0][i] * q[0] + pm[1][i] * q[1] + pm[2][i] * q[2] for i in range(3)]
-    alpha, basis = _jacobi(form)
-    d1, d2 = alpha[1] - alpha[0], alpha[2] - alpha[0]
-    (u0, u1, u2), (w0, w1, w2) = [[v[0] * c[0] + v[1] * c[1] + v[2] * c[2] for v in basis]
-                                  for c in (p, pmq)]
-    margin = 0.25 * (r00 - math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2]))
+    r00, p0, p1, p2, q0, r5, r6, r7, q1, r9, r10, r11, q2, r13, r14, r15 = [
+        s0 * hf[i0] + s1 * hf[i1] + s2 * hf[i2] + s3 * hf[i3]
+        for (i0, s0), (i1, s1), (i2, s2), (i3, s3) in _PAULI_TERMS]
+    # the form p p^T - P^T P, P = R[1:, 1:], and g = P^T q, each sum in the order of P's rows
+    (alpha0, (e00, e01, e02)), (alpha1, (e10, e11, e12)), (alpha2, (e20, e21, e22)) = _jacobi(
+        p0 * p0 - (r5 * r5 + r9 * r9 + r13 * r13), p1 * p1 - (r6 * r6 + r10 * r10 + r14 * r14),
+        p2 * p2 - (r7 * r7 + r11 * r11 + r15 * r15), p0 * p1 - (r5 * r6 + r9 * r10 + r13 * r14),
+        p0 * p2 - (r5 * r7 + r9 * r11 + r13 * r15), p1 * p2 - (r6 * r7 + r10 * r11 + r14 * r15))
+    g0, g1, g2 = (r5 * q0 + r9 * q1 + r13 * q2, r6 * q0 + r10 * q1 + r14 * q2,
+                  r7 * q0 + r11 * q1 + r15 * q2)
+    d1, d2 = alpha1 - alpha0, alpha2 - alpha0
+    u0, u1, u2 = (e00 * p0 + e01 * p1 + e02 * p2, e10 * p0 + e11 * p1 + e12 * p2,
+                  e20 * p0 + e21 * p1 + e22 * p2)
+    w0, w1, w2 = (e00 * g0 + e01 * g1 + e02 * g2, e10 * g0 + e11 * g1 + e12 * g2,
+                  e20 * g0 + e21 * g1 + e22 * g2)
+    margin = 0.25 * (r00 - math.sqrt(p0 * p0 + p1 * p1 + p2 * p2))
     for _ in range(_MAX_STEPS):
         k = r00 - 4.0 * margin
         x0, x1, x2 = _sphere_argmin(d1, d2, k * u0 - w0, k * u1 - w1, k * u2 - w2)
-        b0, b1, b2 = [x0 * v0 + x1 * v1 + x2 * v2 for v0, v1, v2 in zip(*basis)]
-        rb = [r[a] + r[a + 1] * b0 + r[a + 2] * b1 + r[a + 3] * b2 for a in (0, 4, 8, 12)]
-        lowest = 0.25 * (rb[0] - math.sqrt(rb[1] * rb[1] + rb[2] * rb[2] + rb[3] * rb[3]))
+        b0, b1, b2 = (x0 * e00 + x1 * e10 + x2 * e20, x0 * e01 + x1 * e11 + x2 * e21,
+                      x0 * e02 + x1 * e12 + x2 * e22)
+        rb0, rb1 = r00 + p0 * b0 + p1 * b1 + p2 * b2, q0 + r5 * b0 + r6 * b1 + r7 * b2
+        rb2, rb3 = q1 + r9 * b0 + r10 * b1 + r11 * b2, q2 + r13 * b0 + r14 * b1 + r15 * b2
+        lowest = 0.25 * (rb0 - math.sqrt(rb1 * rb1 + rb2 * rb2 + rb3 * rb3))
         if not lowest < margin:
             break
         margin = lowest
@@ -153,7 +172,7 @@ def block_positive(h, tol: float = linalg.TOL) -> Certificate:
     rho, big = math.sqrt(b0 * b0 + b1 * b1), math.sqrt(0.5 + 0.5 * abs(b2))
     v0, v1 = (big, 0.5 * rho / big) if b2 >= 0.0 else (0.5 * rho / big, big)
     v = (complex(v0), v1 * (complex(b0 / rho, b1 / rho) if rho else 1.0))
-    c0, c1, c2, c3 = [0.25 * x for x in rb]
+    c0, c1, c2, c3 = 0.25 * rb0, 0.25 * rb1, 0.25 * rb2, 0.25 * rb3
     compressed = [[complex(c0 + c3), complex(c1, -c2)], [complex(c1, c2), complex(c0 - c3)]]
     return Certificate(FAIL, margin, witness=(np.array(v), np.array(compressed)), detail=detail)
 

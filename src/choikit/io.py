@@ -47,8 +47,8 @@ def matrix_from_json(obj) -> np.ndarray:
             raise ValueError(f"row {i} must have exactly {n} entries")
         for j, pair in enumerate(row):
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                               for x in pair)):
+                    or not isinstance(pair[0], (int, float)) or isinstance(pair[0], bool)
+                    or not isinstance(pair[1], (int, float)) or isinstance(pair[1], bool)):
                 raise ValueError(f"entry ({i},{j}) must be a [re, im] pair of numbers")
             try:
                 out.append(complex(float(pair[0]), float(pair[1])))

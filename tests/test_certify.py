@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -325,6 +326,100 @@ def other_kernel_env() -> dict:
     return env
 
 
+def _reference_jacobi(a):
+    """certify._jacobi as a loop over the pairs on a list of lists, which it overwrites, kept as
+    the reference that the written-out solver must match bit for bit."""
+    vecs = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for _ in range(certify._MAX_SWEEPS):
+        rotated = False
+        for p, q, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq, app, aqq = a[p][q], a[p][p], a[q][q]
+            if not abs(apq) > 2.0 ** -52 * (abs(app) + abs(aqq)):
+                continue
+            rotated = True
+            theta = (aqq - app) / (2.0 * apq)
+            at = abs(theta)
+            t = 0.5 / at if at > 2.0 ** 26 else 1.0 / (at + math.sqrt(at * at + 1.0))
+            t = math.copysign(t, theta)
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            a[p][p], a[q][q], a[p][q], a[q][p] = app - t * apq, aqq + t * apq, 0.0, 0.0
+            akp, akq = a[k][p], a[k][q]
+            a[k][p] = a[p][k] = c * akp - s * akq
+            a[k][q] = a[q][k] = s * akp + c * akq
+            vp, vq = vecs[p], vecs[q]
+            vecs[p] = [c * x - s * y for x, y in zip(vp, vq)]
+            vecs[q] = [s * x + c * y for x, y in zip(vp, vq)]
+        if not rotated:
+            break
+    order = sorted(range(3), key=lambda i: a[i][i])
+    return [a[i][i] for i in order], [vecs[i] for i in order]
+
+
+def jacobi_forms() -> list:
+    """(a00, a11, a22, a01, a02, a12) of symmetric 3x3 forms: block_positive's form of every
+    oracle_corpus() input, random forms at 2^k scales and with entries at spread exponents,
+    diagonal forms, exact diagonal ties, and off-diagonal entries at (of either sign) and one ulp
+    above the 2^-52 stopping threshold."""
+    forms = []
+    for h in oracle_corpus():
+        r = np.einsum("aji,blk,ikjl->ab", _REF_PAULI, _REF_PAULI, np.reshape(h, (2, 2, 2, 2))).real
+        f = (np.outer(r[0, 1:], r[0, 1:]) - r[1:, 1:].T @ r[1:, 1:]).tolist()
+        forms.append((f[0][0], f[1][1], f[2][2], f[0][1], f[0][2], f[1][2]))
+    rng = np.random.default_rng(36)
+    for _ in range(500):
+        k = int(rng.integers(-500, 501))
+        forms.append(tuple(math.ldexp(x, k) for x in rng.normal(size=6).tolist()))
+    for _ in range(300):  # theta past 2^26 and tiny rotations
+        forms.append(tuple(math.ldexp(x, int(e)) for x, e in zip(rng.normal(size=6).tolist(),
+                                                                  rng.integers(-40, 41, size=6))))
+    for _ in range(150):
+        forms.append((*rng.normal(size=3).tolist(), 0.0, -0.0, 0.0))
+    for _ in range(300):  # ties on the diagonal give theta = +-0.0
+        a, b = rng.normal(size=2).tolist()
+        off = rng.normal(size=3).tolist()
+        off[int(rng.integers(3))] = 0.0
+        forms += [(a, a, b, *off), (a, b, a, *off), (b, a, a, *off), (a, a, a, *off)]
+    for _ in range(100):
+        d = rng.normal(size=3).tolist()
+        off = rng.normal(size=3).tolist()
+        for i, (p, q) in enumerate(((0, 1), (0, 2), (1, 2))):
+            at = math.ldexp(abs(d[p]) + abs(d[q]), -52)  # exact, as in the stopping test
+            for x in (at, -at, math.nextafter(at, math.inf)):
+                form = [*d, *off]
+                form[3 + i] = x
+                forms.append(tuple(form))
+    return forms
+
+
+def digest_inputs() -> list:
+    """g + g^H at scales 2^k, shifted by 0..3 I, and their partial transposes, plus dyadic Pauli
+    tables.  The entries come from rng.random's 53-bit draws and exact or correctly rounded
+    elementwise operations, with no BLAS call, so every platform builds the same bits."""
+    rng = np.random.default_rng(35)
+    hs = []
+    for i in range(960):
+        g = rng.random((4, 4)) - 0.5 + 1j * (rng.random((4, 4)) - 0.5)
+        h = math.ldexp(1.0, int(rng.integers(-300, 301))) * (g + g.conj().T + (i % 4) * np.eye(4))
+        hs += [h, choi.partial_transpose(h)]
+    for _ in range(80):
+        r = rng.integers(-8, 9, size=(4, 4)) / 4.0
+        r[0, 0] = rng.integers(0, 33) / 4.0
+        hs.append(0.25 * np.einsum("ab,aij,bkl->ikjl", r, _REF_PAULI, _REF_PAULI).reshape(4, 4))
+    return hs
+
+
+def certificate_digest(hs) -> str:
+    """sha256 over block_positive's verdict, margin and witness bytes of each input."""
+    digest = hashlib.sha256()
+    for h in hs:
+        cert = ck.block_positive(h)
+        digest.update(f"{cert.verdict} {float(cert.margin).hex()};".encode())
+        for part in cert.witness or ():
+            digest.update(np.asarray(part).tobytes())
+    return digest.hexdigest()[:16]
+
+
 # A child process that prints the block_positive margins of the matrices saved in argv[1].
 MARGINS_CHILD = ("import sys, numpy as np, choikit as ck; "
                  "print(*(float(ck.block_positive(h).margin).hex() for h in np.load(sys.argv[1])))")
@@ -378,6 +473,21 @@ class TestBlockPositiveExactness:
             assert (scaled.verdict, scaled.margin) == (cert.verdict, math.ldexp(cert.margin, k))
             verdicts.add(cert.verdict)
         assert verdicts == {PASS, FAIL}
+
+    def test_the_written_out_jacobi_has_the_bits_of_the_loop_reference(self):
+        for a00, a11, a22, a01, a02, a12 in jacobi_forms():
+            values, vectors = _reference_jacobi([[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]])
+            want = [x.hex() for x in values] + [x.hex() for v in vectors for x in v]
+            pairs = certify._jacobi(a00, a11, a22, a01, a02, a12)
+            assert [e.hex() for e, _ in pairs] + [x.hex() for _, v in pairs for x in v] == want
+
+    def test_certificates_have_the_recorded_bytes(self):
+        """The digest of verdict, margin and witness bytes over digest_inputs(), recorded with the
+        loop-based Jacobi solver and list-built shift steps that the written-out ones replaced.
+        A change that alters these bytes on purpose updates the digest and says so in
+        CHANGES.md, as a change to the transcript fingerprint does."""
+        assert certificate_digest(digest_inputs()) == "41f2f8353a97abcd"
+
 
 class TestCpCcp:
     def test_bits_equal_column_0_of_the_symmetrized_eigendecomposition(self):

@@ -49,6 +49,17 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match=r"^row 3 must have exactly 4 entries$"):
             io.matrix_from_json({"rows": [[[0.0, 0.0]] * 4] * 3 + [[[0.0, 0.0]] * 3]})
 
+    def test_entries_are_ints_or_floats_but_not_booleans(self):
+        rows = [[[np.float64(0.5), 0], [1, -2]], [[1, 2], [3, np.float64(-0.25)]]]
+        assert np.array_equal(io.matrix_from_json({"rows": rows}),
+                              np.array([[0.5, 1 - 2j], [1 + 2j, 3 - 0.25j]]))
+        for i, pair in ((0, [True, 0.0]), (1, [0.0, False])):
+            bad = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+            bad[1][i] = pair
+            message = rf"^entry \(1,{i}\) must be a \[re, im\] pair of numbers$"
+            with pytest.raises(ValueError, match=message):
+                io.matrix_from_json({"rows": bad})
+
     def test_complex_literals(self):
         assert io.parse_complex("1+0i") == 1.0
         assert io.parse_complex("0.25") == 0.25
