@@ -174,7 +174,7 @@ def _run_explore(args) -> tuple[dict, int]:
     )
     results: dict = {"search": io.report_to_json(report)}
     if args.epsilon is not None:
-        remainder, shift = uniqueness.epsilon_family(matrix, args.epsilon)
+        remainder, shift = uniqueness.epsilon_family(matrix, args.epsilon, **_tol(args))
         results["epsilon_family"] = {
             "eps": args.epsilon,
             "remainder": io.matrix_to_json(remainder),

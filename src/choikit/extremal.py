@@ -57,30 +57,15 @@ class ExtremalParams:
 
     def validate(self) -> certify.CanonicalCoefficients:
         """The coefficients of the matrix these parameters describe; raises
-        InvalidParamsError naming the first invariant violated at linalg.TOL,
-        the last check being every relation of validate_extremal."""
+        InvalidParamsError naming the first relation of validate_extremal
+        that they violate at linalg.TOL."""
         u = float(self.u)
         y = complex(self.y)
         z = complex(self.z)
         if not all(map(math.isfinite, (u, y.real, y.imag, z.real, z.imag))):
             raise InvalidParamsError("parameters contain NaN or Inf")
-        tol = linalg.TOL
-        if u < -tol or u > 1.0 + tol:
-            raise InvalidParamsError(f"u = {u!r} outside [0, 1]")
-        if self.b > tol:
-            rule = "|y| + |z| must equal sqrt(u) when b > 0"
-            resid = abs(abs(y) + abs(z) - math.sqrt(max(u, 0.0)))
-        else:
-            rule = "b = 0 requires |y| = 1 or |z| = 1 (other zero)"
-            resid = min(abs(abs(y) - 1.0) + abs(z), abs(abs(z) - 1.0) + abs(y))
-        if resid > tol:
-            raise InvalidParamsError(f"{rule}; residual {resid:.3e}")
-        # a split residual r <= tol leaves condition2 one of ~4 b sqrt(u) r
         coeffs = certify.CanonicalCoefficients(1.0, self.b, u, 0.0, y, z, self.t)
-        cert = _check_relations(coeffs, tol)
-        if not cert.passed:
-            raise InvalidParamsError(
-                f"parameters violate {cert.detail} (margin {cert.margin:.3e})")
+        _require_relations(coeffs, InvalidParamsError, "parameters violate")
         return coeffs
 
 
@@ -133,6 +118,7 @@ def degenerate_case(kind: str, y: complex = 0.0, z: complex = 0.0) -> np.ndarray
 
 def _check_relations(coeffs: certify.CanonicalCoefficients, tol: float) -> Certificate:
     a, b, u, c, y, z, t = coeffs
+    ymod, zmod, tmod = abs(y), abs(z), abs(t)  # squared by products, which overflow to inf
     margins: list[tuple[str, float]] = [
         ("pattern:c=0", -abs(c)),
         ("condition1", -abs(a - 1.0)),
@@ -142,14 +128,14 @@ def _check_relations(coeffs: certify.CanonicalCoefficients, tol: float) -> Certi
     ]
     if b > tol:
         margins.extend([
-            ("condition2", -abs(abs(t) ** 2 - 2.0 * b * (u - abs(y) ** 2 - abs(z) ** 2))),
-            ("split", -abs(abs(y) + abs(z) - math.sqrt(max(u, 0.0)))),
+            ("condition2", -abs(tmod * tmod - 2.0 * b * (u - ymod * ymod - zmod * zmod))),
+            ("split", -abs((ymod + zmod) * (ymod + zmod) - u)),
             ("phase", -abs(t * t + 4.0 * (1.0 - u) * y * z.conjugate())),
         ])
     else:
         margins.extend([
-            ("condition2", -min(abs(abs(y) - 1.0) + abs(z), abs(abs(z) - 1.0) + abs(y))),
-            ("condition2", -abs(t)),
+            ("condition2", -min(abs(ymod - 1.0) + zmod, abs(zmod - 1.0) + ymod)),
+            ("condition2", -tmod),
         ])
     return from_margins(margins, linalg.tol_bound(tol, 1.0), "all relations")
 
@@ -165,14 +151,18 @@ def validate_extremal(h, tol: float = linalg.TOL) -> Certificate:
     return _check_relations(certify.canonical_coefficients(h), tol)
 
 
+def _require_relations(coeffs: certify.CanonicalCoefficients, error: type, prefix: str) -> None:
+    """Raise error, after prefix, naming the first relation that coeffs violate."""
+    cert = _check_relations(coeffs, linalg.TOL)
+    if not cert.passed:
+        raise error(f"{prefix} {cert.detail} (margin {cert.margin:.3e})")
+
+
 def extremal_coefficients(h) -> tuple[float, complex, complex, complex]:
     """(u, y, z, t) of h; raises NotExtremalError naming the first relation
     that validate_extremal finds violated at linalg.TOL."""
     coeffs = certify.canonical_coefficients(h)
-    cert = _check_relations(coeffs, linalg.TOL)
-    if not cert.passed:
-        raise NotExtremalError(
-            f"not a canonical extremal matrix: {cert.detail} (margin {cert.margin:.3e})")
+    _require_relations(coeffs, NotExtremalError, "not a canonical extremal matrix:")
     return coeffs.u, coeffs.y, coeffs.z, coeffs.t
 
 

@@ -459,6 +459,16 @@ class TestInProcess:
         assert exc.value.code == 2
         assert "argument --tol: invalid float value: 'abc'" in capsys.readouterr().err
 
+    def test_explore_applies_the_tolerance_to_the_epsilon_family(self, tmp_path, capsys):
+        # eps = 0.75 + 5e-11 leaves the remainder a ccp lambda_min of -5e-11:
+        # within the default tolerance, outside a zero one
+        path = tmp_path / "m.json"
+        write_matrix(path, ck.degenerate_case("y_zero", z=0.5))
+        argv = ["explore", str(path), "--samples", "0", "--epsilon", "0.75000000005"]
+        assert cli.main(argv) == 0
+        assert cli.main(argv + ["--tol", "0"]) == 2
+        assert "remainder fails the ccp check" in capsys.readouterr().err
+
     def test_a_zero_tolerance_still_runs(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         write_matrix(path, np.eye(4))

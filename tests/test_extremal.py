@@ -1,8 +1,14 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import choikit as ck
-from choikit.errors import InvalidParamsError, NotExtremalError
+from choikit import certify, cli, io, linalg
+from choikit.errors import HypothesisViolatedError, InvalidParamsError, NotExtremalError
 
 
 def example_matrix_half() -> np.ndarray:
@@ -30,22 +36,26 @@ class TestBuildExtremal:
         assert h[1, 3] == pytest.approx(1j * np.sqrt(3.0) / 4.0)
 
     def test_invalid_parameters_name_the_invariant(self):
-        with pytest.raises(InvalidParamsError, match="sqrt"):
+        with pytest.raises(InvalidParamsError, match=r"^parameters violate condition2 "):
             ck.build_extremal(ck.ExtremalParams(u=0.25, y=0.5, z=0.5))
-        with pytest.raises(InvalidParamsError, match=r"\[0, 1\]"):
+        with pytest.raises(InvalidParamsError, match=r"^parameters violate condition1 "):
             ck.build_extremal(ck.ExtremalParams(u=1.5, y=1.0, z=0.0))
         with pytest.raises(InvalidParamsError, match="branch"):
             ck.build_extremal(ck.ExtremalParams(u=0.25, y=0.25, z=0.25, t_branch="x"))
-        with pytest.raises(InvalidParamsError, match="b = 0"):
+        with pytest.raises(InvalidParamsError, match=r"^parameters violate condition2 "):  # b = 0
             ck.build_extremal(ck.ExtremalParams(u=1.0, y=0.5, z=0.5))
         with pytest.raises(InvalidParamsError, match="condition2"):  # sqrt(0.3)/2 to 10 digits
             ck.build_extremal(ck.ExtremalParams(u=0.3, y=0.2738612788, z=0.2738612788))
         with pytest.raises(InvalidParamsError, match=r"^parameters contain NaN or Inf$"):
             ck.build_extremal(ck.ExtremalParams(u=float("nan"), y=0.25, z=0.25))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParamsError, match=r"^parameters violate condition1 "):
+                ck.build_extremal(ck.ExtremalParams(u=1e308, y=1.0, z=0.0))
+            with pytest.raises(InvalidParamsError, match=r"^parameters violate condition2 "):
+                ck.build_extremal(ck.ExtremalParams(u=0.5, y=1e200, z=0.0))  # |y|^2 overflows
 
     def test_a_built_matrix_passes_validate_extremal(self):
-        # a split residual r <= TOL passes the |y| + |z| check, but the
-        # derived t leaves condition2 a residual of about 4 b sqrt(u) r
         outcomes = set()
         for u in np.linspace(0.05, 0.95, 19):
             for resid in (2e-11, 6e-11, 9.5e-11, 15e-11, -2e-11, -6e-11, -9.5e-11, -15e-11):
@@ -192,6 +202,41 @@ class TestValidateExtremal:
         h = ck.example_family(0.5)
         h[0, 0] = 0.9
         assert ck.validate_extremal(h).detail == "condition1"
+
+    @pytest.mark.parametrize("u", [1e-19, 1e-12])
+    def test_a_u_zero_map_off_by_less_than_tol_passes(self, tmp_path, capsys, u):
+        # within u of an extremal map, though sqrt(1e-19) = 3.2e-10 exceeds TOL
+        h = ck.degenerate_case("u_zero")
+        h[3, 3] = u
+        assert ck.validate_extremal(h).passed
+        with pytest.raises(HypothesisViolatedError, match="below the floor"):
+            ck.decompose_extremal(h)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(io.matrix_to_json(h)), encoding="utf-8")
+        assert cli.main(["certify", str(path), "--extremal"]) == 0
+        assert cli.main(["explore", str(path), "--samples", "0"]) == 0
+        assert cli.main(["decompose", str(path)]) == 2
+        assert "below the floor" in capsys.readouterr().err
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.sampled_from(["interior", "y_zero", "z_zero", "u_zero"]),
+           st.integers(0, 2**32 - 1), st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3))
+    def test_a_map_moved_by_an_eighth_of_tol_passes(self, kind, seed, signs):
+        # the moves shift (|y| + |z|)^2 - u by about (4 sqrt(u) + 1) TOL/8 <= 5 TOL/8 at most,
+        # and condition2, with t derived, by 2 b times that
+        rng = np.random.default_rng(seed)
+        params = ck.random_params(rng)
+        u, ymod, zmod = params.u, abs(params.y), abs(params.z)
+        if kind != "interior":
+            w = 0.0 if kind == "u_zero" else float(rng.uniform(0.0, 1.0))
+            u = w * w
+            ymod, zmod = (0.0 if kind == "y_zero" else w), (0.0 if kind == "z_zero" else w)
+        du, dy, dz = (sign * linalg.TOL / 8.0 for sign in signs)
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=2))
+        u, y, z = u + du, (ymod + dy) * phases[0], (zmod + dz) * phases[1]
+        t = ck.derived_t(u, y, z, params.t_branch)
+        cert = ck.validate_extremal(certify.canonical_matrix(1.0, 1.0 - u, u, 0.0, y, z, t))
+        assert cert.passed, (kind, u, y, z, cert.detail, cert.margin)
 
 
 class TestSweepInvariants:
