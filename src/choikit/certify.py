@@ -211,12 +211,9 @@ class CanonicalCoefficients(NamedTuple):
     t: complex
 
 
-def _read_canonical(h, swap: bool = False) -> tuple[CanonicalCoefficients, float]:
-    """(canonical_coefficients(h), max|h|), or with swap those of h's partial transpose,
-    which commutes with H -> H*: the bits of validating the swapped input, from one pass."""
+def _read_canonical(h) -> tuple[CanonicalCoefficients, float]:
+    """(canonical_coefficients(h), max|h|) from one validation pass."""
     hs, scale = linalg.require_hermitian(h, 4)
-    if swap:
-        hs = choi._swap_blocks(hs)
     linalg.require_below(max(abs(hs[0, 2]), abs(hs[2, 2]), abs(hs[2, 3])), linalg.TOL * scale,
                          "off-pattern", NotCanonicalFormError)
     return CanonicalCoefficients(
@@ -257,9 +254,9 @@ def _minors(a, b, u, c, y, t) -> list:
             b * au + 2.0 * (c * t * np.conj(y)).real - a * t2 - u * c2]
 
 
-def _minor_conditions(reading, tol: float, tag: str) -> Certificate:
-    """The conditions on a _read_canonical (coefficients, scale) reading."""
-    (a, b, u, c, y, z, t), scale = reading
+def _minor_conditions(coeffs, scale: float, tol: float, tag: str) -> Certificate:
+    """The CP conditions on canonical coefficients (a, b, u, c, y, z, t) of max-modulus scale."""
+    a, b, u, c, y, z, t = coeffs
     margins = [("a>=0", a), ("b>=0", b), ("u>=0", u), (tag + "1", -abs(z))]
     margins += [(f"{tag}{k}", m) for k, m in enumerate(_minors(a, b, u, c, y, t), start=2)]
     degrees = np.array([1, 1, 1, 1, 2, 2, 2, 3])
@@ -274,24 +271,21 @@ def canonical_cp_conditions(h, tol: float = linalg.TOL) -> Certificate:
     expanded form, each judged at tol * max|h|**degree.  The detail names
     the first violated condition.
     """
-    return _minor_conditions(_read_canonical(h), tol, "A")
+    return _minor_conditions(*_read_canonical(h), tol, "A")
 
 
 def canonical_ccp_conditions(h, tol: float = linalg.TOL) -> Certificate:
-    """Mirror conditions for complete copositivity: y = 0 (B1) and the
-    minors of the partially transposed matrix (B2)-(B5), which is canonical
-    with y and z swapped and t conjugated."""
-    return _minor_conditions(_read_canonical(h, swap=True), tol, "B")
+    """Mirror conditions for complete copositivity: (B1)-(B5) are (A1)-(A5)
+    on (a, b, u, c, z, y, conj(t)), the coefficients of the partial transpose."""
+    (a, b, u, c, y, z, t), scale = _read_canonical(h)
+    return _minor_conditions((a, b, u, c, z, y, t.conjugate()), scale, tol, "B")
 
 
 def face_form_inequalities(h, tol: float = linalg.TOL) -> Certificate:
     """The three inequalities every positive face member satisfies:
-    |c|^2 <= ab, |t|^2 <= bu, and (|y| + |z|)^2 <= au, each of degree 2 and
-    judged at tol * max|h|**2."""
+    |c|^2 <= ab, |t|^2 <= bu (the minors A4 and A3), and (|y| + |z|)^2 <= au,
+    each of degree 2 and judged at tol * max|h|**2."""
     (a, b, u, c, y, z, t), scale = _read_canonical(h)
-    margins = [
-        ("|c|^2<=ab", a * b - abs(c) ** 2),
-        ("|t|^2<=bu", b * u - abs(t) ** 2),
-        ("(|y|+|z|)^2<=au", a * u - (abs(y) + abs(z)) ** 2),
-    ]
+    _, bu, ab, _ = _minors(a, b, u, c, y, t)
+    margins = [("|c|^2<=ab", ab), ("|t|^2<=bu", bu), ("(|y|+|z|)^2<=au", a * u - (abs(y) + abs(z)) ** 2)]
     return from_margins(margins, linalg.tol_bound(tol, scale, 2), "all conditions")

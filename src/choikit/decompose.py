@@ -34,7 +34,8 @@ class SplitCandidate:
         return SplitCandidate(a1, b1, u1, complex(tr, ti), complex(cr, ci))
 
     def complement(self, u: float, t: complex) -> tuple[float, float, float, complex]:
-        """Derived coefficients (a2, b2, u2, t2) of the second part."""
+        """Derived coefficients (a2, b2, u2, t2) of the second part, on numbers or
+        on a candidate whose fields are equal-length arrays."""
         return 1.0 - self.a1, (1.0 - u) - self.b1, u - self.u1, t - self.t1
 
 
@@ -113,9 +114,9 @@ def _factors(u: float, y: complex, t: complex) -> tuple[np.ndarray, np.ndarray, 
     (y1, z1) -> (-y1, -z1) remains free and it leaves both parts invariant.
     """
     y1 = linalg.principal_sqrt(y)
-    z1 = (t / (2j * math.sqrt(1.0 - u) * y1)).conjugate()
+    s = math.sqrt(1.0 - u)
+    z1 = (t / (2j * s * y1)).conjugate()
     uq = float(u) ** 0.25
-    s = math.sqrt(max(1.0 - u, 0.0))
     k1 = np.array([
         [y1 / uq, 0.0],
         [1j * np.conj(z1) * s / uq, np.conj(y1) * uq],

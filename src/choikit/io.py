@@ -6,6 +6,7 @@ shortest round-trip decimal form, so parse(emit(M)) reproduces M exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any
@@ -102,21 +103,12 @@ def candidate_to_json(cand: SplitCandidate) -> dict:
 
 
 def report_to_json(report: FeasibilityReport) -> dict:
-    return {
-        "canonical": candidate_to_json(report.canonical),
-        "alternates": [
-            {"candidate": candidate_to_json(cand), "distance": float(dist)}
-            for cand, dist in report.alternates
-        ],
-        "feasible_count": report.feasible_count,
-        "diameter": report.diameter,
-        "radius": report.radius,
-        "resolution": report.resolution,
-        "samples": report.samples,
-        "seed": report.seed,
-        "tol": report.tol,
-        "grid_points": report.grid_points,
-    }
+    """The report's fields in their declared order, the candidates as candidate_to_json."""
+    out = {field.name: getattr(report, field.name) for field in dataclasses.fields(report)}
+    out["canonical"] = candidate_to_json(report.canonical)
+    out["alternates"] = [{"candidate": candidate_to_json(cand), "distance": float(dist)}
+                         for cand, dist in report.alternates]
+    return out
 
 
 def pair_to_json(pair: DecompositionPair) -> dict:

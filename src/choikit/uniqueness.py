@@ -54,17 +54,12 @@ def _constraint_margins(u: float, y: complex, z: complex, t: complex, vecs: np.n
     """Margins of CONSTRAINT_NAMES for candidate vectors of shape (n, 7): the
     diagonal entries, then the minors of h1 and of h2's partial transpose,
     which is canonical with y -> z, t -> conj(t2) and c -> -c."""
-    a1 = vecs[:, 0]
-    b1 = vecs[:, 1]
-    u1 = vecs[:, 2]
-    t1 = vecs[:, 3] + 1j * vecs[:, 4]
-    c = vecs[:, 5] + 1j * vecs[:, 6]
-    a2 = 1.0 - a1
-    b2 = (1.0 - u) - b1
-    u2 = u - u1
+    a1, b1, u1, tr, ti, cr, ci = vecs.T
+    t1, c = tr + 1j * ti, cr + 1j * ci
+    a2, b2, u2, t2 = SplitCandidate(a1, b1, u1, t1, c).complement(u, t)
     return [a1, b1, u1, a2, b2, u2,
             *certify._minors(a1, b1, u1, c, y, t1),
-            *certify._minors(a2, b2, u2, -c, z, np.conj(t - t1))]
+            *certify._minors(a2, b2, u2, -c, z, np.conj(t2))]
 
 
 def feasibility(h, cand: SplitCandidate, tol: float = FEASIBILITY_TOL) -> Certificate:

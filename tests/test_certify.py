@@ -683,6 +683,30 @@ class TestCanonicalConditions:
         assert not cert.passed
         assert cert.detail == "B1"
 
+    def test_ccp_conditions_are_the_cp_conditions_of_the_partial_transpose(self):
+        rng = np.random.default_rng(41)
+        hs = [ck.degenerate_case("u_zero"), ck.degenerate_case("y_zero", z=0.5),
+              ck.degenerate_case("z_zero", y=0.5j), ck.degenerate_case("y_zero", z=0.0)]
+        for k in range(160):
+            h = random_canonical_matrix(rng, CANONICAL_KINDS[k % 4])
+            real_t, no_c = h.copy(), h.copy()
+            real_t[1, 3], real_t[3, 1] = h[1, 3].real, h[3, 1].real
+            no_c[0, 1] = no_c[1, 0] = 0.0
+            no_y = h.copy()  # B1 holds and, with a, b, u >= 0, a later condition decides
+            no_y[0, 3] = no_y[3, 0] = 0.0
+            np.fill_diagonal(no_y, abs(h.diagonal()))
+            hs += [h, real_t, no_c, no_y]
+        details = set()
+        for h in hs:
+            for scaled in (h, 2.0 ** -40 * h, 2.0 ** 40 * h):
+                ccp = ck.canonical_ccp_conditions(scaled)
+                cp = ck.canonical_cp_conditions(ck.partial_transpose(scaled))
+                assert (ccp.verdict, ccp.margin) == (cp.verdict, cp.margin)
+                assert (ccp.detail, ccp.witness) == (cp.detail.replace("A", "B"),
+                                                     cp.witness and cp.witness.replace("A", "B"))
+                details.add(ccp.detail)
+        assert {"B1", "B2", "B3", "B4", "B5", "a>=0", "all conditions"} <= details
+
     def test_off_pattern_matrix_rejected(self):
         m = np.eye(4, dtype=complex)
         m[2, 2] = 1.0  # the (2,2) slot must be zero in the canonical pattern

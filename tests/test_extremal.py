@@ -50,10 +50,19 @@ class TestBuildExtremal:
             ck.build_extremal(ck.ExtremalParams(u=float("nan"), y=0.25, z=0.25))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidParamsError, match=r"^parameters violate condition1 "):
+            # the margin is the named relation's own, not the worst of all relations:
+            # not NaN here, where t is NaN, nor condition2's -20 for u = -1 below
+            with pytest.raises(InvalidParamsError,
+                               match=r"^parameters violate condition1 \(margin -1\.000e\+308\)$"):
                 ck.build_extremal(ck.ExtremalParams(u=1e308, y=1.0, z=0.0))
             with pytest.raises(InvalidParamsError, match=r"^parameters violate condition2 "):
                 ck.build_extremal(ck.ExtremalParams(u=0.5, y=1e200, z=0.0))  # |y|^2 overflows
+        with pytest.raises(InvalidParamsError,
+                           match=r"^parameters violate condition1 \(margin -1\.000e\+00\)$"):
+            ck.build_extremal(ck.ExtremalParams(u=-1.0, y=2.0, z=0.0))
+        with pytest.raises(NotExtremalError, match=r"^not a canonical extremal matrix: "
+                                                   r"condition1 \(margin -1\.000e\+100\)$"):
+            ck.extremal.extremal_coefficients(1e100 * ck.example_family(0.5))
 
     def test_a_built_matrix_passes_validate_extremal(self):
         outcomes = set()
